@@ -64,6 +64,25 @@ grep -q $'\ttp:A:U' "$SHARD_WORK/degraded.paf" \
 rm -rf "$SHARD_WORK"
 trap - EXIT
 
+echo "==> tier identity: every SIMD tier maps a seeded ONT set to the same bytes"
+TIER_WORK=$(mktemp -d "${TMPDIR:-/tmp}/mmm-tier-ci.XXXXXX")
+trap 'rm -rf "$TIER_WORK"' EXIT
+target/release/simreads --genome 200000 --reads 40 --platform ont --seed 5 \
+    --out-ref "$TIER_WORK/ref.fa" --out-reads "$TIER_WORK/reads.fa" >/dev/null
+target/release/manymap map "$TIER_WORK/ref.fa" "$TIER_WORK/reads.fa" \
+    --threads 2 >"$TIER_WORK/default.paf" 2>/dev/null
+for tiers in avx512 avx512,avx2 all; do
+    MMM_DISABLE_SIMD=$tiers target/release/manymap map "$TIER_WORK/ref.fa" "$TIER_WORK/reads.fa" \
+        --threads 2 >"$TIER_WORK/$tiers.paf" 2>/dev/null
+    cmp "$TIER_WORK/default.paf" "$TIER_WORK/$tiers.paf" \
+        || { echo "ci: MMM_DISABLE_SIMD=$tiers mapping diverged from the default tier"; exit 1; }
+done
+rm -rf "$TIER_WORK"
+trap - EXIT
+
+echo "==> gap-fill kernel bench: quick smoke (baseline lives in BENCH_gapfill_mix.json)"
+BENCH_QUICK=1 BENCH_JSON_OUT="" cargo run -q --release -p bench --bin gapfill_mix
+
 echo "==> shard load bench: quick smoke (baseline lives in BENCH_shard_load.json)"
 BENCH_QUICK=1 BENCH_JSON_OUT="" cargo run -q --release -p bench --bin shard_load
 

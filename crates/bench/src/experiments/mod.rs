@@ -13,6 +13,7 @@ pub mod fig6_memmode;
 pub mod fig7_streams;
 pub mod fig8_length;
 pub mod fig9_scaling;
+pub mod gapfill_mix;
 pub mod index_decode;
 pub mod shard_load;
 pub mod table2_profile;
@@ -30,6 +31,7 @@ pub fn all() -> Vec<(&'static str, Experiment)> {
         ("Table 3", table3_hw::run),
         ("Table 4", table4_datasets::run),
         ("Figure 5", fig5_simd::run),
+        ("Gap-fill mix", gapfill_mix::run),
         ("Figure 6", fig6_memmode::run),
         ("Figure 7", fig7_streams::run),
         ("Figure 8", fig8_length::run),

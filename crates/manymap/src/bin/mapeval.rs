@@ -6,6 +6,9 @@
 //! primary alignments / mapped reads, with ≥10% overlap of the true
 //! interval counting as correct) plus a MAPQ-stratified breakdown.
 //!
+//! A read's call is its *first* `tp:A:P` line (manymap writes the best
+//! primary first), or its first line if none is primary.
+//!
 //! ```sh
 //! simreads --out-ref ref.fa --out-reads reads.fa
 //! manymap map ref.fa reads.fa > out.paf
@@ -13,7 +16,8 @@
 //! ```
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader};
+use std::fmt::Write as _;
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::process::ExitCode;
 
 #[derive(Clone, Copy)]
@@ -66,8 +70,9 @@ fn main() -> ExitCode {
         }
     };
 
-    // Keep only the primary call per read (tp:A:P, or the first line).
-    let mut primary: HashMap<String, (String, Truth, Call)> = HashMap::new();
+    // Keep one call per read: its first primary line, else its first line.
+    // The bool records whether the kept line is a primary.
+    let mut primary: HashMap<String, (String, Truth, Call, bool)> = HashMap::new();
     let mut lines = 0u64;
     for line in reader.lines() {
         // A mid-stream read error must not silently truncate the evaluation:
@@ -89,7 +94,7 @@ fn main() -> ExitCode {
             continue;
         };
         let is_primary = cols.contains(&"tp:A:P");
-        if !is_primary && primary.contains_key(qname) {
+        if primary.get(qname).is_some_and(|kept| kept.3 || !is_primary) {
             continue;
         }
         let call = Call {
@@ -99,14 +104,14 @@ fn main() -> ExitCode {
             rev: cols[4] == "-",
             mapq: cols[11].parse().unwrap_or(0),
         };
-        primary.insert(qname.to_string(), (truth_rname, truth, call));
+        primary.insert(qname.to_string(), (truth_rname, truth, call, is_primary));
     }
 
     let mut mapped = 0u64;
     let mut wrong = 0u64;
     let mut per_mapq: Vec<(u8, u64, u64)> = Vec::new(); // (mapq floor, mapped, wrong)
     let mut strata: HashMap<u8, (u64, u64)> = HashMap::new();
-    for (truth_rname, truth, call) in primary.values() {
+    for (truth_rname, truth, call, _) in primary.values() {
         mapped += 1;
         let inter = call
             .end
@@ -130,10 +135,12 @@ fn main() -> ExitCode {
         per_mapq.push((b, m, w));
     }
 
-    println!("paf lines:      {lines}");
-    println!("primary calls:  {mapped}");
-    println!("wrong calls:    {wrong}");
-    println!(
+    let mut report = String::new();
+    let _ = writeln!(report, "paf lines:      {lines}");
+    let _ = writeln!(report, "primary calls:  {mapped}");
+    let _ = writeln!(report, "wrong calls:    {wrong}");
+    let _ = writeln!(
+        report,
         "error rate:     {:.3}%",
         if mapped > 0 {
             100.0 * wrong as f64 / mapped as f64
@@ -141,9 +148,10 @@ fn main() -> ExitCode {
             0.0
         }
     );
-    println!("\nmapq     mapped   wrong   err%");
+    let _ = writeln!(report, "\nmapq     mapped   wrong   err%");
     for (b, m, w) in per_mapq {
-        println!(
+        let _ = writeln!(
+            report,
             "{:>2}-{:>2} {:>9} {:>7}  {:>5.2}",
             b,
             b + 9,
@@ -152,5 +160,17 @@ fn main() -> ExitCode {
             100.0 * w as f64 / m.max(1) as f64
         );
     }
-    ExitCode::SUCCESS
+    // A reader that stops early (`mapeval out.paf | head -1`) closes the
+    // pipe; that is a normal end, not an error.
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(report.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+            eprintln!("mapeval: stdout: {e}");
+            ExitCode::FAILURE
+        }
+        _ => ExitCode::SUCCESS,
+    }
 }

@@ -39,8 +39,9 @@ pub const F_CONT: u8 = 8;
 ///
 /// Row `r` holds the cells of anti-diagonal `r` (indices `t - st(r)`), so a
 /// kernel sweeping `t` writes one contiguous byte run per diagonal. Total
-/// size is exactly `|T|·|Q|` bytes, the same quadratic footprint the paper
-/// charges for with-path alignment.
+/// size is `|T|·|Q|` bytes, the same quadratic footprint the paper charges
+/// for with-path alignment, plus [`DirMatrix::SLACK`] spare bytes at the end
+/// so a full-width vector at the tail of the last row stays in bounds.
 pub struct DirMatrix {
     data: Vec<u8>,
     offsets: Vec<usize>,
@@ -55,6 +56,10 @@ impl Default for DirMatrix {
 }
 
 impl DirMatrix {
+    /// Spare bytes after the last row: the widest vector (32 bytes) that
+    /// the Eq. 4 SSE/AVX2 kernels store past a row's end.
+    pub const SLACK: usize = 32;
+
     /// An unsized matrix holding no storage; size it with
     /// [`reset`](Self::reset) before use. This is what [`crate::AlignScratch`]
     /// embeds so the backing store can be recycled across align calls.
@@ -104,7 +109,7 @@ impl DirMatrix {
         }
         debug_assert_eq!(acc, tlen * qlen);
         self.data.clear();
-        self.data.resize(acc, 0);
+        self.data.resize(acc + Self::SLACK, 0);
         self.tlen = tlen;
         self.qlen = qlen;
     }
@@ -114,6 +119,16 @@ impl DirMatrix {
     pub fn row_mut(&mut self, r: usize) -> &mut [u8] {
         let (s, e) = (self.offsets[r], self.offsets[r + 1]);
         &mut self.data[s..e]
+    }
+
+    /// Diagonal `r` followed by [`SLACK`](Self::SLACK) more bytes (the start
+    /// of the next rows, or the spare tail). A kernel may load and store a
+    /// full vector at the row's last chunk as long as it writes back the
+    /// bytes past the row's end unchanged.
+    #[inline]
+    pub(crate) fn row_padded_mut(&mut self, r: usize) -> &mut [u8] {
+        let (s, e) = (self.offsets[r], self.offsets[r + 1]);
+        &mut self.data[s..e + Self::SLACK]
     }
 
     /// Direction byte of cell `(i, j)`.

@@ -39,9 +39,11 @@ use crate::diff::DirMatrix;
 /// ```
 #[derive(Default)]
 pub struct AlignScratch {
-    /// `u` differences, indexed by `t` (length `|T|`).
+    /// `u` differences, indexed by `t` (length `|T|`, plus one vector of
+    /// slack in the Eq. 4 SSE/AVX2 kernels).
     pub(crate) u: Vec<i8>,
-    /// `v` differences (`|T|` for Eq. 3, `|Q|+1` for Eq. 4).
+    /// `v` differences (`|T|` for Eq. 3, `|Q|+1` for Eq. 4, or `|Q|` plus
+    /// one vector of slack in the Eq. 4 SSE/AVX2 kernels).
     pub(crate) v: Vec<i8>,
     /// `x` differences (same sizing as `v`).
     pub(crate) x: Vec<i8>,
@@ -58,8 +60,12 @@ pub struct AlignScratch {
     pub(crate) e32: Vec<i32>,
     /// `F` band of the banded aligner.
     pub(crate) f32: Vec<i32>,
-    /// Reversed query for diagonal-contiguous access.
+    /// Reversed query for diagonal-contiguous access (zero-padded by one
+    /// vector in the Eq. 4 SSE/AVX2 kernels).
     pub(crate) qr: Vec<u8>,
+    /// Zero-padded copy of the target, so the Eq. 4 SSE/AVX2 kernels can
+    /// load a full vector at the last chunk of any diagonal.
+    pub(crate) tpad: Vec<u8>,
     /// Direction-matrix backing store for with-path alignment.
     pub(crate) dir: DirMatrix,
     /// Recycled CIGAR storage, handed out to with-path calls.
@@ -118,6 +124,7 @@ impl AlignScratch {
             + (self.h32.capacity() + self.e32.capacity() + self.f32.capacity())
                 * std::mem::size_of::<i32>()
             + self.qr.capacity()
+            + self.tpad.capacity()
             + self.dir.heap_bytes()
             + self.seq_bufs.iter().map(|b| b.capacity()).sum::<usize>()
     }
@@ -138,6 +145,15 @@ pub(crate) fn reset_fill<T: Copy>(buf: &mut Vec<T>, len: usize, fill: T) {
 pub(crate) fn reverse_query_into(query: &[u8], qr: &mut Vec<u8>) {
     qr.clear();
     qr.extend(query.iter().rev());
+}
+
+/// Refill `buf` with `src` followed by `pad` zero bytes, so a `pad`-byte
+/// vector load starting at any index of `src` stays inside `buf`.
+#[inline]
+pub(crate) fn copy_padded(src: &[u8], buf: &mut Vec<u8>, pad: usize) {
+    buf.clear();
+    buf.extend_from_slice(src);
+    buf.resize(src.len() + pad, 0);
 }
 
 #[cfg(test)]

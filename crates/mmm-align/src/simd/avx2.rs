@@ -7,12 +7,16 @@
 
 use core::arch::x86_64::*;
 
-use crate::diff::{backtrack_into, cell_update, degenerate, Tracker, E_CONT, F_CONT, SRC_E, SRC_F};
+use crate::diff::{
+    backtrack_into, cell_update, degenerate, DirMatrix, Tracker, E_CONT, F_CONT, SRC_E, SRC_F,
+};
 use crate::score::Scoring;
-use crate::scratch::{reset_fill, reverse_query_into, AlignScratch};
+use crate::scratch::{copy_padded, reset_fill, reverse_query_into, AlignScratch};
 use crate::types::{AlignMode, AlignResult};
 
 const L: usize = 32;
+// The Eq. 4 kernel stores a full vector at the tail of each direction row.
+const _: () = assert!(L <= DirMatrix::SLACK);
 
 /// Runtime support check for this module's kernels.
 pub fn available() -> bool {
@@ -284,16 +288,22 @@ unsafe fn manymap_inner(
         x,
         y,
         qr,
+        tpad,
         dir,
         cigars,
         ..
     } = scratch;
+    // Every buffer gets `L` bytes of slack, so the last chunk of any
+    // diagonal can load a full vector; the lanes past its end are written
+    // back with the values they were loaded with.
+    copy_padded(target, tpad, L);
     reverse_query_into(query, qr);
-    reset_fill(u, tlen, -e as i8);
-    reset_fill(y, tlen, -qe as i8);
+    qr.resize(qlen + L, 0);
+    reset_fill(u, tlen + L, -e as i8);
+    reset_fill(y, tlen + L, -qe as i8);
     u[0] = -qe as i8;
-    reset_fill(v, qlen + 1, -e as i8);
-    reset_fill(x, qlen + 1, -qe as i8);
+    reset_fill(v, qlen + L, -e as i8);
+    reset_fill(x, qlen + L, -qe as i8);
     v[qlen] = -qe as i8;
 
     let mut dir = if with_path {
@@ -315,19 +325,22 @@ unsafe fn manymap_inner(
     let d2 = _mm256_set1_epi8(SRC_F as i8);
     let d4 = _mm256_set1_epi8(E_CONT as i8);
     let d8 = _mm256_set1_epi8(F_CONT as i8);
+    let lane = _mm256_setr_epi8(
+        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24,
+        25, 26, 27, 28, 29, 30, 31,
+    );
 
     for r in 0..tlen + qlen - 1 {
         let st = r.saturating_sub(qlen - 1);
         let en = r.min(tlen - 1);
         let off = st + qlen - r;
         let qbase = st + qlen - 1 - r;
-        let mut dir_row = dir.as_mut().map(|d| d.row_mut(r));
-        let n = en - st + 1;
+        let mut dir_row = dir.as_mut().map(|d| d.row_padded_mut(r));
         let mut t = st;
 
-        for _ in 0..n / L {
+        while t <= en {
             let tp = t - st + off;
-            let tv = _mm256_loadu_si256(target.as_ptr().add(t) as *const __m256i);
+            let tv = _mm256_loadu_si256(tpad.as_ptr().add(t) as *const __m256i);
             let qv = _mm256_loadu_si256(qr.as_ptr().add(t - st + qbase) as *const __m256i);
             let eqm = _mm256_cmpeq_epi8(tv, qv);
             let amb = _mm256_or_si256(_mm256_cmpeq_epi8(tv, vfour), _mm256_cmpeq_epi8(qv, vfour));
@@ -343,13 +356,27 @@ unsafe fn manymap_inner(
             let b = _mm256_adds_epi8(yt, ut);
             let za = _mm256_max_epi8(s, a);
             let z = _mm256_max_epi8(za, b);
-            let un = _mm256_subs_epi8(z, vt0);
-            let vn = _mm256_subs_epi8(z, ut);
+            let mut un = _mm256_subs_epi8(z, vt0);
+            let mut vn = _mm256_subs_epi8(z, ut);
             let xt = _mm256_adds_epi8(_mm256_subs_epi8(a, z), vq);
             let yt2 = _mm256_adds_epi8(_mm256_subs_epi8(b, z), vq);
-            let xn = _mm256_subs_epi8(_mm256_max_epi8(xt, zero), vqe);
-            let yn = _mm256_subs_epi8(_mm256_max_epi8(yt2, zero), vqe);
+            let mut xn = _mm256_subs_epi8(_mm256_max_epi8(xt, zero), vqe);
+            let mut yn = _mm256_subs_epi8(_mm256_max_epi8(yt2, zero), vqe);
 
+            // In a diagonal's last chunk, lanes past `en` keep the values
+            // they were loaded with.
+            let rem = en + 1 - t;
+            let keep = if rem < L {
+                Some(_mm256_cmpgt_epi8(_mm256_set1_epi8(rem as i8), lane))
+            } else {
+                None
+            };
+            if let Some(k) = keep {
+                un = _mm256_blendv_epi8(ut, un, k);
+                vn = _mm256_blendv_epi8(vt0, vn, k);
+                xn = _mm256_blendv_epi8(xt0, xn, k);
+                yn = _mm256_blendv_epi8(yt, yn, k);
+            }
             _mm256_storeu_si256(u.as_mut_ptr().add(t) as *mut __m256i, un);
             _mm256_storeu_si256(v.as_mut_ptr().add(tp) as *mut __m256i, vn);
             _mm256_storeu_si256(x.as_mut_ptr().add(tp) as *mut __m256i, xn);
@@ -360,30 +387,13 @@ unsafe fn manymap_inner(
                 d = _mm256_blendv_epi8(d, d2, _mm256_cmpgt_epi8(b, za));
                 d = _mm256_or_si256(d, _mm256_and_si256(_mm256_cmpgt_epi8(xt, zero), d4));
                 d = _mm256_or_si256(d, _mm256_and_si256(_mm256_cmpgt_epi8(yt2, zero), d8));
-                _mm256_storeu_si256(row.as_mut_ptr().add(t - st) as *mut __m256i, d);
+                let at = row.as_mut_ptr().add(t - st) as *mut __m256i;
+                if let Some(k) = keep {
+                    d = _mm256_blendv_epi8(_mm256_loadu_si256(at), d, k);
+                }
+                _mm256_storeu_si256(at, d);
             }
             t += L;
-        }
-        while t <= en {
-            let tp = t - st + off;
-            let s = sc.subst(target[t], query[r - t]);
-            let (unw, vnw, xnw, ynw, d) = cell_update(
-                s,
-                x[tp] as i32,
-                v[tp] as i32,
-                y[t] as i32,
-                u[t] as i32,
-                q,
-                qe,
-            );
-            u[t] = unw;
-            v[tp] = vnw;
-            x[tp] = xnw;
-            y[t] = ynw;
-            if let Some(row) = dir_row.as_deref_mut() {
-                row[t - st] = d;
-            }
-            t += 1;
         }
         let v_st0 = v[qlen - r.min(qlen)] as i32;
         let v_en = v[en + qlen - r] as i32;
@@ -426,20 +436,34 @@ mod tests {
         if !available() {
             return;
         }
-        for len in [31usize, 32, 33, 63, 64, 65, 96] {
-            let t: Vec<u8> = (0..len).map(|i| ((i * 7 + 3) % 4) as u8).collect();
-            let q: Vec<u8> = (0..len).map(|i| ((i * 5 + 1) % 4) as u8).collect();
-            let gold = scalar::align_manymap(&t, &q, &SC, AlignMode::Global, true);
-            assert_eq!(
-                align_mm2(&t, &q, &SC, AlignMode::Global, true),
-                gold,
-                "len={len}"
-            );
-            assert_eq!(
-                align_manymap(&t, &q, &SC, AlignMode::Global, true),
-                gold,
-                "len={len}"
-            );
+        // Square and rectangular shapes around the lane edges. Skinny
+        // shapes keep every diagonal shorter than one vector, so the whole
+        // matrix runs through the partial-chunk path.
+        let shapes: [(usize, usize); 12] = [
+            (31, 31),
+            (32, 32),
+            (33, 33),
+            (63, 65),
+            (65, 63),
+            (96, 96),
+            (33, 65),
+            (65, 33),
+            (200, 7),
+            (7, 200),
+            (1, 65),
+            (65, 1),
+        ];
+        for (tlen, qlen) in shapes {
+            let t: Vec<u8> = (0..tlen).map(|i| ((i * 7 + 3) % 4) as u8).collect();
+            let q: Vec<u8> = (0..qlen).map(|i| ((i * 5 + 1) % 4) as u8).collect();
+            for mode in MODES {
+                for with_path in [true, false] {
+                    let gold = scalar::align_manymap(&t, &q, &SC, mode, with_path);
+                    let what = format!("{tlen}x{qlen} {mode:?} path={with_path}");
+                    assert_eq!(align_mm2(&t, &q, &SC, mode, with_path), gold, "{what}");
+                    assert_eq!(align_manymap(&t, &q, &SC, mode, with_path), gold, "{what}");
+                }
+            }
         }
     }
 

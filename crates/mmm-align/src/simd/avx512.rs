@@ -105,6 +105,14 @@ pub fn align_manymap_with_scratch(
     unsafe { manymap_inner(target, query, sc, mode, with_path, scratch) }
 }
 
+/// Mask of the low `min(rem, 64)` lanes (`rem >= 1`).
+#[inline(always)]
+fn lane_mask(rem: usize) -> __mmask64 {
+    u64::MAX >> (L - rem.min(L))
+}
+
+/// # Safety
+/// Requires AVX-512F; only called from `#[target_feature]`-gated fns.
 #[inline(always)]
 unsafe fn extract_last(v: __m512i) -> i32 {
     let lane = _mm512_extracti32x4_epi32(v, 3);
@@ -339,22 +347,26 @@ unsafe fn manymap_inner(
         let off = st + qlen - r;
         let qbase = st + qlen - 1 - r;
         let mut dir_row = dir.as_mut().map(|d| d.row_mut(r));
-        let n = en - st + 1;
         let mut t = st;
 
-        for _ in 0..n / L {
+        // The whole diagonal runs in vector code: full chunks with every
+        // lane set, the last partial chunk with only its low `en + 1 - t`
+        // lanes. Masked-off lanes are fault-suppressed — neither read nor
+        // written — so no buffer needs slack.
+        while t <= en {
+            let k = lane_mask(en + 1 - t);
             let tp = t - st + off;
-            let tv = _mm512_loadu_si512(target.as_ptr().add(t) as *const __m512i);
-            let qv = _mm512_loadu_si512(qr.as_ptr().add(t - st + qbase) as *const __m512i);
+            let tv = _mm512_maskz_loadu_epi8(k, target.as_ptr().add(t) as *const i8);
+            let qv = _mm512_maskz_loadu_epi8(k, qr.as_ptr().add(t - st + qbase) as *const i8);
             let eqm = _mm512_cmpeq_epi8_mask(tv, qv);
             let amb = _mm512_cmpeq_epi8_mask(tv, vfour) | _mm512_cmpeq_epi8_mask(qv, vfour);
             let mut s = _mm512_mask_blend_epi8(eqm, vmis, vmatch);
             s = _mm512_mask_blend_epi8(amb, s, vambi);
 
-            let xt0 = _mm512_loadu_si512(x.as_ptr().add(tp) as *const __m512i);
-            let vt0 = _mm512_loadu_si512(v.as_ptr().add(tp) as *const __m512i);
-            let ut = _mm512_loadu_si512(u.as_ptr().add(t) as *const __m512i);
-            let yt = _mm512_loadu_si512(y.as_ptr().add(t) as *const __m512i);
+            let xt0 = _mm512_maskz_loadu_epi8(k, x.as_ptr().add(tp));
+            let vt0 = _mm512_maskz_loadu_epi8(k, v.as_ptr().add(tp));
+            let ut = _mm512_maskz_loadu_epi8(k, u.as_ptr().add(t));
+            let yt = _mm512_maskz_loadu_epi8(k, y.as_ptr().add(t));
 
             let a = _mm512_adds_epi8(xt0, vt0);
             let b = _mm512_adds_epi8(yt, ut);
@@ -367,10 +379,10 @@ unsafe fn manymap_inner(
             let xn = _mm512_subs_epi8(_mm512_max_epi8(xt, zero), vqe);
             let yn = _mm512_subs_epi8(_mm512_max_epi8(yt2, zero), vqe);
 
-            _mm512_storeu_si512(u.as_mut_ptr().add(t) as *mut __m512i, un);
-            _mm512_storeu_si512(v.as_mut_ptr().add(tp) as *mut __m512i, vn);
-            _mm512_storeu_si512(x.as_mut_ptr().add(tp) as *mut __m512i, xn);
-            _mm512_storeu_si512(y.as_mut_ptr().add(t) as *mut __m512i, yn);
+            _mm512_mask_storeu_epi8(u.as_mut_ptr().add(t), k, un);
+            _mm512_mask_storeu_epi8(v.as_mut_ptr().add(tp), k, vn);
+            _mm512_mask_storeu_epi8(x.as_mut_ptr().add(tp), k, xn);
+            _mm512_mask_storeu_epi8(y.as_mut_ptr().add(t), k, yn);
 
             if let Some(row) = dir_row.as_deref_mut() {
                 let mut d = _mm512_maskz_mov_epi8(_mm512_cmpgt_epi8_mask(a, s), d1);
@@ -383,30 +395,9 @@ unsafe fn manymap_inner(
                     d,
                     _mm512_maskz_mov_epi8(_mm512_cmpgt_epi8_mask(yt2, zero), d8),
                 );
-                _mm512_storeu_si512(row.as_mut_ptr().add(t - st) as *mut __m512i, d);
+                _mm512_mask_storeu_epi8(row.as_mut_ptr().add(t - st) as *mut i8, k, d);
             }
             t += L;
-        }
-        while t <= en {
-            let tp = t - st + off;
-            let s = sc.subst(target[t], query[r - t]);
-            let (unw, vnw, xnw, ynw, d) = cell_update(
-                s,
-                x[tp] as i32,
-                v[tp] as i32,
-                y[t] as i32,
-                u[t] as i32,
-                q,
-                qe,
-            );
-            u[t] = unw;
-            v[tp] = vnw;
-            x[tp] = xnw;
-            y[t] = ynw;
-            if let Some(row) = dir_row.as_deref_mut() {
-                row[t - st] = d;
-            }
-            t += 1;
         }
         let v_st0 = v[qlen - r.min(qlen)] as i32;
         let v_en = v[en + qlen - r] as i32;
@@ -449,20 +440,34 @@ mod tests {
         if !available() {
             return;
         }
-        for len in [63usize, 64, 65, 127, 128, 129, 192] {
-            let t: Vec<u8> = (0..len).map(|i| ((i * 7 + 3) % 4) as u8).collect();
-            let q: Vec<u8> = (0..len).map(|i| ((i * 5 + 1) % 4) as u8).collect();
-            let gold = scalar::align_manymap(&t, &q, &SC, AlignMode::Global, true);
-            assert_eq!(
-                align_mm2(&t, &q, &SC, AlignMode::Global, true),
-                gold,
-                "len={len}"
-            );
-            assert_eq!(
-                align_manymap(&t, &q, &SC, AlignMode::Global, true),
-                gold,
-                "len={len}"
-            );
+        // Square and rectangular shapes around the lane edges. Skinny
+        // shapes keep every diagonal shorter than one vector, so the whole
+        // matrix runs through the partial-chunk path.
+        let shapes: [(usize, usize); 12] = [
+            (63, 63),
+            (64, 64),
+            (65, 65),
+            (127, 128),
+            (129, 128),
+            (192, 192),
+            (65, 129),
+            (129, 65),
+            (200, 7),
+            (7, 200),
+            (1, 129),
+            (129, 1),
+        ];
+        for (tlen, qlen) in shapes {
+            let t: Vec<u8> = (0..tlen).map(|i| ((i * 7 + 3) % 4) as u8).collect();
+            let q: Vec<u8> = (0..qlen).map(|i| ((i * 5 + 1) % 4) as u8).collect();
+            for mode in MODES {
+                for with_path in [true, false] {
+                    let gold = scalar::align_manymap(&t, &q, &SC, mode, with_path);
+                    let what = format!("{tlen}x{qlen} {mode:?} path={with_path}");
+                    assert_eq!(align_mm2(&t, &q, &SC, mode, with_path), gold, "{what}");
+                    assert_eq!(align_manymap(&t, &q, &SC, mode, with_path), gold, "{what}");
+                }
+            }
         }
     }
 

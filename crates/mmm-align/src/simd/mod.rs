@@ -11,10 +11,17 @@
 //!   unaligned load and every result a plain store to the same offset — the
 //!   single-instruction load of Figure 3b.
 //!
-//! All kernels process full vector chunks and finish each anti-diagonal with
-//! a scalar tail that reuses [`crate::diff::cell_update`], so results are
-//! bit-identical to the scalar kernels (and therefore to the full-matrix
-//! reference).
+//! The Eq. 4 kernels run every anti-diagonal entirely in vector code. The
+//! last, partial chunk of a diagonal is a masked iteration on AVX-512
+//! (fault-suppressed loads and stores); on AVX2/SSE, which have no
+//! byte-masked stores, it is a full-width iteration over padded buffers
+//! whose lanes past the diagonal's end are blended back to the values they
+//! were loaded with (ksw2's approach). Gap fills are mostly narrower than
+//! one vector, so this partial chunk carries most of the mapper's cells
+//! (DESIGN.md §4.1b). The Eq. 3 kernels, the paper's minimap2 baseline,
+//! keep their scalar tail that reuses [`crate::diff::cell_update`]. Every
+//! kernel is bit-identical to the scalar kernels (and therefore to the
+//! full-matrix reference).
 //!
 //! Naming note: the paper's baseline tier is "SSE2"; our 128-bit kernels use
 //! SSE4.1 (`pblendvb`/`pmaxsb`), universally available on x86-64 since 2008.

@@ -2,12 +2,16 @@
 
 use core::arch::x86_64::*;
 
-use crate::diff::{backtrack_into, cell_update, degenerate, Tracker, E_CONT, F_CONT, SRC_E, SRC_F};
+use crate::diff::{
+    backtrack_into, cell_update, degenerate, DirMatrix, Tracker, E_CONT, F_CONT, SRC_E, SRC_F,
+};
 use crate::score::Scoring;
-use crate::scratch::{reset_fill, reverse_query_into, AlignScratch};
+use crate::scratch::{copy_padded, reset_fill, reverse_query_into, AlignScratch};
 use crate::types::{AlignMode, AlignResult};
 
 const L: usize = 16;
+// The Eq. 4 kernel stores a full vector at the tail of each direction row.
+const _: () = assert!(L <= DirMatrix::SLACK);
 
 /// Runtime support check for this module's kernels.
 pub fn available() -> bool {
@@ -261,16 +265,22 @@ unsafe fn manymap_inner(
         x,
         y,
         qr,
+        tpad,
         dir,
         cigars,
         ..
     } = scratch;
+    // Every buffer gets `L` bytes of slack, so the last chunk of any
+    // diagonal can load a full vector; the lanes past its end are written
+    // back with the values they were loaded with.
+    copy_padded(target, tpad, L);
     reverse_query_into(query, qr);
-    reset_fill(u, tlen, -e as i8);
-    reset_fill(y, tlen, -qe as i8);
+    qr.resize(qlen + L, 0);
+    reset_fill(u, tlen + L, -e as i8);
+    reset_fill(y, tlen + L, -qe as i8);
     u[0] = -qe as i8;
-    reset_fill(v, qlen + 1, -e as i8);
-    reset_fill(x, qlen + 1, -qe as i8);
+    reset_fill(v, qlen + L, -e as i8);
+    reset_fill(x, qlen + L, -qe as i8);
     v[qlen] = -qe as i8;
 
     let mut dir = if with_path {
@@ -292,19 +302,19 @@ unsafe fn manymap_inner(
     let d2 = _mm_set1_epi8(SRC_F as i8);
     let d4 = _mm_set1_epi8(E_CONT as i8);
     let d8 = _mm_set1_epi8(F_CONT as i8);
+    let lane = _mm_setr_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
 
     for r in 0..tlen + qlen - 1 {
         let st = r.saturating_sub(qlen - 1);
         let en = r.min(tlen - 1);
         let off = st + qlen - r; // t' of the first cell
         let qbase = st + qlen - 1 - r;
-        let mut dir_row = dir.as_mut().map(|d| d.row_mut(r));
-        let n = en - st + 1;
+        let mut dir_row = dir.as_mut().map(|d| d.row_padded_mut(r));
         let mut t = st;
 
-        for _ in 0..n / L {
+        while t <= en {
             let tp = t - st + off;
-            let tv = _mm_loadu_si128(target.as_ptr().add(t) as *const __m128i);
+            let tv = _mm_loadu_si128(tpad.as_ptr().add(t) as *const __m128i);
             let qv = _mm_loadu_si128(qr.as_ptr().add(t - st + qbase) as *const __m128i);
             let eqm = _mm_cmpeq_epi8(tv, qv);
             let amb = _mm_or_si128(_mm_cmpeq_epi8(tv, vfour), _mm_cmpeq_epi8(qv, vfour));
@@ -321,13 +331,27 @@ unsafe fn manymap_inner(
             let b = _mm_adds_epi8(yt, ut);
             let za = _mm_max_epi8(s, a);
             let z = _mm_max_epi8(za, b);
-            let un = _mm_subs_epi8(z, vt0);
-            let vn = _mm_subs_epi8(z, ut);
+            let mut un = _mm_subs_epi8(z, vt0);
+            let mut vn = _mm_subs_epi8(z, ut);
             let xt = _mm_adds_epi8(_mm_subs_epi8(a, z), vq);
             let yt2 = _mm_adds_epi8(_mm_subs_epi8(b, z), vq);
-            let xn = _mm_subs_epi8(_mm_max_epi8(xt, zero), vqe);
-            let yn = _mm_subs_epi8(_mm_max_epi8(yt2, zero), vqe);
+            let mut xn = _mm_subs_epi8(_mm_max_epi8(xt, zero), vqe);
+            let mut yn = _mm_subs_epi8(_mm_max_epi8(yt2, zero), vqe);
 
+            // In a diagonal's last chunk, lanes past `en` keep the values
+            // they were loaded with.
+            let rem = en + 1 - t;
+            let keep = if rem < L {
+                Some(_mm_cmpgt_epi8(_mm_set1_epi8(rem as i8), lane))
+            } else {
+                None
+            };
+            if let Some(k) = keep {
+                un = _mm_blendv_epi8(ut, un, k);
+                vn = _mm_blendv_epi8(vt0, vn, k);
+                xn = _mm_blendv_epi8(xt0, xn, k);
+                yn = _mm_blendv_epi8(yt, yn, k);
+            }
             _mm_storeu_si128(u.as_mut_ptr().add(t) as *mut __m128i, un);
             _mm_storeu_si128(v.as_mut_ptr().add(tp) as *mut __m128i, vn);
             _mm_storeu_si128(x.as_mut_ptr().add(tp) as *mut __m128i, xn);
@@ -338,30 +362,13 @@ unsafe fn manymap_inner(
                 d = _mm_blendv_epi8(d, d2, _mm_cmpgt_epi8(b, za));
                 d = _mm_or_si128(d, _mm_and_si128(_mm_cmpgt_epi8(xt, zero), d4));
                 d = _mm_or_si128(d, _mm_and_si128(_mm_cmpgt_epi8(yt2, zero), d8));
-                _mm_storeu_si128(row.as_mut_ptr().add(t - st) as *mut __m128i, d);
+                let at = row.as_mut_ptr().add(t - st) as *mut __m128i;
+                if let Some(k) = keep {
+                    d = _mm_blendv_epi8(_mm_loadu_si128(at), d, k);
+                }
+                _mm_storeu_si128(at, d);
             }
             t += L;
-        }
-        while t <= en {
-            let tp = t - st + off;
-            let s = sc.subst(target[t], query[r - t]);
-            let (unw, vnw, xnw, ynw, d) = cell_update(
-                s,
-                x[tp] as i32,
-                v[tp] as i32,
-                y[t] as i32,
-                u[t] as i32,
-                q,
-                qe,
-            );
-            u[t] = unw;
-            v[tp] = vnw;
-            x[tp] = xnw;
-            y[t] = ynw;
-            if let Some(row) = dir_row.as_deref_mut() {
-                row[t - st] = d;
-            }
-            t += 1;
         }
         let v_st0 = v[qlen - r.min(qlen)] as i32;
         let v_en = v[en + qlen - r] as i32;
@@ -444,20 +451,34 @@ mod tests {
         if !available() {
             return;
         }
-        // Lengths straddling the 16-lane chunk boundary.
-        for len in [15usize, 16, 17, 31, 32, 33, 48] {
-            let (t, q) = random_pair(len as u64, len, 2);
-            let gold = scalar::align_manymap(&t, &q, &SC, AlignMode::Global, true);
-            assert_eq!(
-                align_mm2(&t, &q, &SC, AlignMode::Global, true),
-                gold,
-                "len={len}"
-            );
-            assert_eq!(
-                align_manymap(&t, &q, &SC, AlignMode::Global, true),
-                gold,
-                "len={len}"
-            );
+        // Square and rectangular shapes around the lane edges. Skinny
+        // shapes keep every diagonal shorter than one vector, so the whole
+        // matrix runs through the partial-chunk path.
+        let shapes: [(usize, usize); 12] = [
+            (15, 15),
+            (16, 16),
+            (17, 17),
+            (31, 33),
+            (33, 31),
+            (48, 48),
+            (17, 33),
+            (33, 17),
+            (200, 7),
+            (7, 200),
+            (1, 33),
+            (33, 1),
+        ];
+        for (tlen, qlen) in shapes {
+            let t: Vec<u8> = (0..tlen).map(|i| ((i * 7 + 3) % 4) as u8).collect();
+            let q: Vec<u8> = (0..qlen).map(|i| ((i * 5 + 1) % 4) as u8).collect();
+            for mode in MODES {
+                for with_path in [true, false] {
+                    let gold = scalar::align_manymap(&t, &q, &SC, mode, with_path);
+                    let what = format!("{tlen}x{qlen} {mode:?} path={with_path}");
+                    assert_eq!(align_mm2(&t, &q, &SC, mode, with_path), gold, "{what}");
+                    assert_eq!(align_manymap(&t, &q, &SC, mode, with_path), gold, "{what}");
+                }
+            }
         }
     }
 

@@ -33,8 +33,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Lane-boundary lengths every run must cover (the off-by-one surface of
-/// the 16/32/64-lane kernels), before the random sizes start.
-const EDGE_LENS: [usize; 10] = [1, 2, 15, 16, 17, 31, 32, 33, 63, 65];
+/// the 16/32/64-lane kernels), before the random sizes start. The query is
+/// the target with point edits, so a length `n` case has diagonals of every
+/// length up to about `n`: 129 reaches every remainder of every width.
+const EDGE_LENS: [usize; 14] = [1, 2, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129];
+
+/// Skinny `(|T|, |Q|)` shapes: every diagonal is shorter than one vector,
+/// the shape of most of the mapper's gap fills.
+const SKINNY: [(usize, usize); 4] = [(200, 7), (7, 200), (100, 40), (40, 100)];
 
 struct Case {
     target: Vec<u8>,
@@ -78,13 +84,28 @@ fn make_cases(cases: usize, seed: u64) -> Vec<Case> {
         AlignMode::QuerySuffixFree,
     ];
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = Vec::with_capacity(cases);
+    let mut out = Vec::with_capacity(cases + 4 * (EDGE_LENS.len() + SKINNY.len()));
+    // Every edge and skinny shape runs in all four modes.
+    let mut fixed: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+    for &tlen in &EDGE_LENS {
+        let target = random_seq(&mut rng, tlen);
+        let query = mutate(&mut rng, &target);
+        fixed.push((target, query));
+    }
+    for (tlen, qlen) in SKINNY {
+        fixed.push((random_seq(&mut rng, tlen), random_seq(&mut rng, qlen)));
+    }
+    for (target, query) in fixed {
+        for mode in MODES {
+            out.push(Case {
+                target: target.clone(),
+                query: query.clone(),
+                mode,
+            });
+        }
+    }
     for i in 0..cases {
-        let tlen = if i < EDGE_LENS.len() {
-            EDGE_LENS[i]
-        } else {
-            rng.random_range(1usize..160)
-        };
+        let tlen = rng.random_range(1usize..160);
         let target = random_seq(&mut rng, tlen);
         let query = if rng.random_bool(0.75) {
             mutate(&mut rng, &target)
@@ -142,14 +163,21 @@ pub fn run(cases: usize, seed: u64) -> Result<String, String> {
     let mut golds: Vec<AlignResult> = Vec::with_capacity(stream.len());
     for (i, case) in stream.iter().enumerate() {
         let gold = gold_engine.align(&case.target, &case.query, &sc, case.mode, true);
+        // Score-only kernels take a different code path; their result must
+        // match the scalar score-only gold, and its score the with-path one.
+        let gold_score_only = gold_engine.align(&case.target, &case.query, &sc, case.mode, false);
+        if gold_score_only.score != gold.score {
+            return Err(format!(
+                "{}: scalar score-only gold disagrees with its with-path run",
+                describe(i, case, gold_engine)
+            ));
+        }
         for (engine, scratch) in engines.iter().zip(scratches.iter_mut()) {
             let got =
                 engine.align_with_scratch(&case.target, &case.query, &sc, case.mode, true, scratch);
             if got != gold {
                 return Err(diff(i, case, *engine, &got, &gold));
             }
-            // Score-only kernels take a different code path; their score
-            // must match the with-path run.
             let score_only = engine.align_with_scratch(
                 &case.target,
                 &case.query,
@@ -158,12 +186,10 @@ pub fn run(cases: usize, seed: u64) -> Result<String, String> {
                 false,
                 scratch,
             );
-            if score_only.score != gold.score {
+            if score_only != gold_score_only {
                 return Err(format!(
-                    "{}: score-only path disagrees (got {}, want {})",
-                    describe(i, case, *engine),
-                    score_only.score,
-                    gold.score
+                    "score-only path: {}",
+                    diff(i, case, *engine, &score_only, &gold_score_only)
                 ));
             }
         }
