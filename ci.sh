@@ -41,7 +41,8 @@ cargo test -q -p mmm-index --test shard_corruption
 cargo test -q -p manymap --test shard_e2e
 cargo build --release -q -p mmm-simreads -p manymap --bins
 SHARD_WORK=$(mktemp -d "${TMPDIR:-/tmp}/mmm-shard-ci.XXXXXX")
-trap 'rm -rf "$SHARD_WORK"' EXIT
+SERVE_PID=""
+trap '[[ -z "$SERVE_PID" ]] || kill "$SERVE_PID" 2>/dev/null; rm -rf "$SHARD_WORK"' EXIT
 target/release/simreads --genome 240000 --chroms 4 --reads 24 --platform ont --seed 9 \
     --out-ref "$SHARD_WORK/ref.fa" --out-reads "$SHARD_WORK/reads.fa" >/dev/null
 target/release/manymap index "$SHARD_WORK/ref.fa" "$SHARD_WORK/flat.mmx" 2>/dev/null
@@ -61,6 +62,23 @@ grep -q "4 total, 1 quarantined" "$SHARD_WORK/chaos.stderr" \
     || { echo "ci: shard chaos gate missing quarantine report"; cat "$SHARD_WORK/chaos.stderr"; exit 1; }
 grep -q $'\ttp:A:U' "$SHARD_WORK/degraded.paf" \
     || { echo "ci: quarantined shard produced no degraded reads"; exit 1; }
+# Serve leg: a daemon under the same plan must serve the CLI's bytes.
+SOCK="$SHARD_WORK/daemon.sock"
+target/release/mmm-serve daemon "$SHARD_WORK/sharded.mmx" --socket "$SOCK" \
+    --threads 2 --inject-backend-fault missing-shard:shards=1 2>"$SHARD_WORK/daemon.stderr" &
+SERVE_PID=$!
+for _ in $(seq 1 200); do
+    [[ -S "$SOCK" ]] && break
+    kill -0 "$SERVE_PID" 2>/dev/null || { cat "$SHARD_WORK/daemon.stderr"; exit 1; }
+    sleep 0.05
+done
+target/release/mmm-serve client "$SOCK" chaos "$SHARD_WORK/reads.fa" \
+    >"$SHARD_WORK/served.paf" 2>/dev/null
+target/release/mmm-serve drain "$SOCK" >/dev/null
+wait "$SERVE_PID"
+SERVE_PID=""
+cmp "$SHARD_WORK/degraded.paf" "$SHARD_WORK/served.paf" \
+    || { echo "ci: served shard chaos diverged from the CLI"; exit 1; }
 rm -rf "$SHARD_WORK"
 trap - EXIT
 

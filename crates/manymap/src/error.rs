@@ -4,7 +4,7 @@
 //! stream mid-file, a pipeline stage error — flows up to the CLI as a
 //! [`MapError`] naming the file (and, via the wrapped sources, the byte
 //! offset) involved, and exits nonzero. Only per-read alignment failures
-//! degrade instead of aborting; see [`crate::mapper::MapReadError`].
+//! degrade instead of aborting; see [`crate::session::Degradation`].
 
 use std::fmt;
 use std::io;
@@ -23,7 +23,8 @@ pub enum MapError {
     /// Index loading failed; `IndexError` distinguishes open/IO/corruption
     /// and carries the byte offset.
     Index { path: String, source: IndexError },
-    /// The mapping pipeline stopped early (stage error or worker panic).
+    /// The mapping pipeline stopped early (a reader, writer or dispatch
+    /// failure; worker panics degrade one read instead).
     Pipeline(PipelineError),
     /// Bad invocation or unusable input (reported without a source chain).
     Usage(String),

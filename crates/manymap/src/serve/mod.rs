@@ -2,8 +2,8 @@
 //! §12).
 //!
 //! A long-running daemon accepting many concurrent read streams, running
-//! them through the standard plan → dispatch → finalize pipeline behind
-//! ONE shared supervised backend session:
+//! them through the CLI's own map session ([`crate::session`]) behind ONE
+//! shared supervised backend session:
 //!
 //! * [`proto`] — the length-prefixed frame protocol and READ encoding;
 //! * [`tenant`] — per-tenant queues, admission control, SLO metrics;
@@ -27,5 +27,5 @@ pub use proto::{
     MAX_FRAME,
 };
 pub use sched::{DrrConfig, DrrScheduler};
-pub use server::{load_index_any, serve, ServeOpts};
+pub use server::{serve, ServeOpts};
 pub use tenant::{LatencyHistogram, ServeItem, TenantRegistry, TenantState};

@@ -20,12 +20,20 @@ use std::time::Instant;
 use mmm_pipeline::{lock_unpoisoned, BoundedQueue};
 use mmm_seq::SeqRecord;
 
+use crate::session::{Ledger, SessionRead};
+
 /// One read travelling through the shared pipeline, tagged with its tenant
 /// and acceptance time (for the latency histogram).
 pub struct ServeItem {
     pub tenant: usize,
     pub rec: SeqRecord,
     pub accepted_at: Instant,
+}
+
+impl SessionRead for ServeItem {
+    fn record(&self) -> &SeqRecord {
+        &self.rec
+    }
 }
 
 /// A fixed-size log₂ latency histogram: bucket `i` counts samples in
@@ -109,12 +117,8 @@ pub struct TenantState {
     /// Records actually written to the tenant's socket by its session
     /// writer.
     pub sent: AtomicU64,
-    /// Reads degraded to unmapped because the backend quarantined a job.
-    pub quarantined: AtomicU64,
-    /// Reads degraded for any other reason (panic, over length limit).
-    pub degraded: AtomicU64,
-    /// Candidate chains the pre-alignment filter rejected.
-    pub prefilter_rejected: AtomicU64,
+    /// Degraded reads by kind, and prefilter-rejected chains.
+    pub ledger: Ledger,
     /// The client sent END (or the daemon is draining): no more reads.
     pub ended: AtomicBool,
     /// Accept-to-deliver latency per read.
@@ -132,9 +136,7 @@ impl TenantState {
             scheduled: AtomicU64::new(0),
             delivered: AtomicU64::new(0),
             sent: AtomicU64::new(0),
-            quarantined: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
-            prefilter_rejected: AtomicU64::new(0),
+            ledger: Ledger::default(),
             ended: AtomicBool::new(false),
             latency: LatencyHistogram::default(),
         }
@@ -171,9 +173,9 @@ impl TenantState {
             self.accepted.load(Ordering::Relaxed),
             self.sent.load(Ordering::Relaxed),
             self.in_flight(),
-            self.quarantined.load(Ordering::Relaxed),
-            self.degraded.load(Ordering::Relaxed),
-            self.prefilter_rejected.load(Ordering::Relaxed),
+            self.ledger.quarantined(),
+            self.ledger.degraded(),
+            self.ledger.prefilter_rejected(),
             self.latency.slo_summary()
         )
     }

@@ -198,3 +198,37 @@ fn oversized_reads_degrade_with_count() {
         "stderr: {stderr}"
     );
 }
+
+/// Malformed numbers in the flags `manymap map` shares with `mmm-serve
+/// daemon` are usage errors in both binaries, with the same message —
+/// never a silent fall-back to the default.
+#[test]
+fn malformed_shared_numbers_are_usage_errors_in_both_binaries() {
+    let fx = fixture("badnum");
+    for flag in ["--threads", "--max-read-len"] {
+        let want = format!("{flag} \"abc\": not a number");
+        let cli = run_map(&fx.index, &fx.reads, &[flag, "abc"]);
+        let stderr = String::from_utf8_lossy(&cli.stderr);
+        assert!(!cli.status.success(), "manymap accepted {flag} abc");
+        assert!(
+            stderr.contains(&format!("manymap: {want}")),
+            "stderr: {stderr}"
+        );
+        assert!(cli.stdout.is_empty(), "no output on a usage error");
+
+        let daemon = Command::new(env!("CARGO_BIN_EXE_mmm-serve"))
+            .arg("daemon")
+            .arg(&fx.index)
+            .arg("--socket")
+            .arg(fx.dir.join("never.sock"))
+            .args([flag, "abc"])
+            .output()
+            .expect("spawn mmm-serve");
+        let stderr = String::from_utf8_lossy(&daemon.stderr);
+        assert!(!daemon.status.success(), "mmm-serve accepted {flag} abc");
+        assert!(
+            stderr.contains(&format!("mmm-serve: {want}")),
+            "stderr: {stderr}"
+        );
+    }
+}

@@ -13,11 +13,13 @@ use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
 use manymap::serve::{encode_read, read_frame, serve, write_frame, Frame, Op, ServeOpts};
-use manymap::MapOpts;
-use mmm_exec::{BackendOptions, BufferSink};
+use manymap::{open_index, MapOpts, SessionConfig};
+use mmm_exec::BufferSink;
 use mmm_index::{save_index, AnyIndex, IdxOpts, MinimizerIndex};
 use mmm_seq::{nt4_decode, write_fasta, SeqRecord};
-use mmm_simreads::{generate_genome, simulate_reads, GenomeOpts, Platform, SimOpts};
+use mmm_simreads::{
+    generate_chromosomes, generate_genome, simulate_reads, GenomeOpts, Platform, SimOpts,
+};
 
 struct Fixture {
     dir: PathBuf,
@@ -211,13 +213,9 @@ fn admin(socket: &Path, op: Op) -> Frame {
 /// `BufferSink`, so tests can drive raw sockets and then inspect the
 /// final report.
 fn serve_opts(fx: &Fixture) -> ServeOpts {
-    let map = MapOpts::map_ont();
-    let mut bopts = BackendOptions::new(map.scoring);
-    bopts.engine = map.engine;
-    bopts.threads = 2;
-    let mut opts = ServeOpts::new(fx.socket(), map, bopts);
-    opts.threads = 2;
-    opts
+    let mut session = SessionConfig::new(MapOpts::map_ont());
+    session.backend.threads = 2;
+    ServeOpts::new(fx.socket(), session)
 }
 
 // --- tests --------------------------------------------------------------
@@ -336,6 +334,106 @@ fn injected_faults_stay_byte_identical_and_accounted() {
     });
     let stderr = drain_and_join(&fx, daemon);
     assert!(stderr.contains("8 quarantined"), "daemon report: {stderr}");
+
+    // A dead index shard degrades the same reads through the daemon as
+    // through the solo CLI: both open the index with the fault plan's
+    // shard rules bridged into the shard loader.
+    let fx = sharded_fixture("chaos-shard");
+    let plan = "missing-shard:shards=1";
+    let solo = run_cli(&fx.index, &fx.reads, &[("MMM_FAULT_PLAN", plan)]);
+    let solo_err = String::from_utf8_lossy(&solo.stderr);
+    let on_dead_shard = solo_err
+        .lines()
+        .flat_map(|l| l.split(", "))
+        .find_map(|part| part.strip_suffix(" on quarantined shard(s)"))
+        .unwrap_or_else(|| panic!("solo run reported no shard degradation: {solo_err}"));
+    assert_ne!(
+        on_dead_shard, "0",
+        "the dead shard degraded no reads: {solo_err}"
+    );
+
+    let daemon = spawn_daemon(&fx, &["--inject-backend-fault", plan]);
+    let out = run_client(&fx.socket(), "s0", &fx.reads);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        out.status.success(),
+        "client failed on a dead shard: {stderr}"
+    );
+    assert_eq!(
+        out.stdout, solo.stdout,
+        "tenant diverged from the solo CLI on a dead shard"
+    );
+    assert!(
+        stderr.contains(&format!(" 0 quarantined, {on_dead_shard} degraded,")),
+        "tenant summary must count the dead shard's reads as degraded: {stderr}"
+    );
+    drain_and_join(&fx, daemon);
+}
+
+/// Four chromosomes behind a 4-shard manifest built by the CLI, with
+/// nanopore reads simulated per chromosome (so every shard owns reads).
+fn sharded_fixture(tag: &str) -> Fixture {
+    let dir = std::env::temp_dir().join(format!("mmm-serve-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let chroms = generate_chromosomes(
+        &GenomeOpts {
+            len: 240_000,
+            repeat_frac: 0.0,
+            seed: 9,
+            ..Default::default()
+        },
+        4,
+    );
+    let refs: Vec<SeqRecord> = chroms
+        .iter()
+        .enumerate()
+        .map(|(i, g)| SeqRecord::new(format!("chr{}", i + 1), nt4_decode(g)))
+        .collect();
+    let ref_fa = dir.join("ref.fa");
+    let mut fasta = Vec::new();
+    write_fasta(&mut fasta, &refs, 0).unwrap();
+    std::fs::write(&ref_fa, &fasta).unwrap();
+    let index = dir.join("sharded.mmx");
+    let built = Command::new(env!("CARGO_BIN_EXE_manymap"))
+        .arg("index")
+        .arg(&ref_fa)
+        .arg(&index)
+        .args(["--shards", "4"])
+        .output()
+        .expect("spawn manymap index");
+    assert!(
+        built.status.success(),
+        "sharded index build failed: {}",
+        String::from_utf8_lossy(&built.stderr)
+    );
+
+    let mut records = Vec::new();
+    for (ci, g) in chroms.iter().enumerate() {
+        let sims = simulate_reads(
+            g,
+            &SimOpts {
+                platform: Platform::Nanopore,
+                num_reads: 6,
+                seed: 9 + ci as u64,
+            },
+        );
+        records.extend(
+            sims.iter()
+                .map(|r| SeqRecord::new(format!("c{}{}", ci + 1, r.name), nt4_decode(&r.seq))),
+        );
+    }
+    let mut fasta = Vec::new();
+    write_fasta(&mut fasta, &records, 0).unwrap();
+    let reads = dir.join("reads.fa");
+    std::fs::write(&reads, &fasta).unwrap();
+
+    Fixture {
+        dir,
+        index,
+        reads,
+        records,
+        genome: chroms.concat(),
+    }
 }
 
 /// Backpressure: a tenant that stops reading its socket is throttled by
@@ -617,7 +715,13 @@ fn live_reload_swaps_generations_without_dropping_reads() {
     let fx = fixture("reload", 8);
     let mut opts = serve_opts(&fx);
     opts.index_path = Some(fx.index.clone());
-    let index = manymap::serve::load_index_any(&fx.index, &opts.map, None).unwrap();
+    let index = open_index(
+        &fx.index.display().to_string(),
+        &opts.session,
+        false,
+        &|_| {},
+    )
+    .unwrap();
     let sink = BufferSink::default();
 
     std::thread::scope(|s| {

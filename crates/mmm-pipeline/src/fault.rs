@@ -1,9 +1,8 @@
 //! Fault-injection adapters for the pipeline robustness suite.
 //!
 //! These wrap caller-supplied stage callbacks to fail deterministically, so
-//! tests can drive every degradation path of the fallible pipelines: a
-//! reader that errors on the k-th batch, and a map stage that panics on
-//! chosen items. (Byte-level faults live in `mmm_io::FaultSource`.)
+//! tests can drive every degradation path of the pipeline: a reader that
+//! errors on the k-th batch, and a plan stage that panics on chosen items. (Byte-level faults live in `mmm_io::FaultSource`.)
 
 use crate::error::DynError;
 
@@ -29,8 +28,9 @@ where
     }
 }
 
-/// Wrap a map stage so items selected by `should_panic` panic instead of
-/// producing a result — a stand-in for a latent bug tripping on one read.
+/// Wrap a per-item stage (e.g. the pipeline's plan) so items selected by
+/// `should_panic` panic instead of producing a result — a stand-in for a
+/// latent bug tripping on one read.
 pub fn panicking_map<S, I, R, M, P>(map: M, should_panic: P) -> impl Fn(&mut S, &I) -> R + Sync
 where
     M: Fn(&mut S, &I) -> R + Sync,

@@ -1,23 +1,25 @@
-//! `mmm-pipeline` — the real multi-threaded batch pipelines (§4.4.4).
+//! `mmm-pipeline` — manymap's multi-threaded batch pipeline (§4.4.4).
 //!
 //! minimap2 overlaps I/O with computation through a 2-thread pipeline: two
 //! pipeline threads alternate batches, each performing load → multi-thread
 //! align → output, so one batch's computation hides the other's I/O.
 //! manymap adds a dedicated I/O thread so input and output *also* overlap
 //! each other, and sorts each batch by read length so long reads start
-//! first (better load balance).
+//! first (better load balance). The 2-vs-3-thread comparison is modelled
+//! in `mmm-knl`'s discrete-event simulator; this crate runs only manymap's
+//! design.
 //!
-//! This crate implements both designs generically over any item/result
-//! types using bounded std channels and a persistent worker pool
-//! ([`pool::WorkerPool`]): compute threads are spawned once per pipeline
-//! run, each owning a private per-worker state built by a caller-supplied
-//! factory (the mapper passes an alignment scratch arena). The mapper plugs
-//! its seed-chain-extend function in as the map stage. Output order is
-//! always the input order, regardless of scheduling (tested).
+//! [`run_pipeline`] is that design, generic over any item/result types,
+//! using bounded std channels and a persistent worker pool
+//! ([`pool::WorkerPool`]): compute threads are spawned once per run, each
+//! owning a private per-worker state built by a caller-supplied factory
+//! (the mapper passes an alignment scratch arena). Its compute stage is
+//! split into plan → dispatch → finalize so a backend executes each
+//! batch's alignment work in one submission. Output order is always the
+//! input order, regardless of scheduling (tested).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod batched;
 pub mod error;
 pub mod fault;
 pub mod pipeline;
@@ -26,15 +28,9 @@ pub mod queue;
 pub mod sort;
 pub mod sync;
 
-pub use batched::{
-    try_run_three_thread_batched_from_queue, try_run_three_thread_batched_with_state,
-};
 pub use error::{DynError, PipelineError};
 pub use fault::{failing_every, panicking_map};
-pub use pipeline::{
-    run_three_thread, run_three_thread_with_state, run_two_thread, run_two_thread_with_state,
-    try_run_three_thread_with_state, try_run_two_thread_with_state, PanicHandler, PipelineStats,
-};
+pub use pipeline::{run_pipeline, PanicHandler, PipelineStats};
 pub use pool::{par_map_indexed, with_worker_pool, BatchOutcome, ItemPanic, WorkerPool};
 pub use queue::{BoundedQueue, PopError, PushError};
 pub use sort::sort_indices_by_len_desc;

@@ -1,20 +1,43 @@
-//! The two pipeline designs.
+//! manymap's 3-thread pipeline (§4.4.4), batched: a reader thread, the
+//! compute stage, and a writer thread, connected by bounded channels so
+//! input and output overlap computation *and* each other.
 //!
-//! Each design comes in two flavors: a fallible `try_*` entry point where
-//! the read/write stages return `Result` and worker panics are caught (the
-//! real pipelines, used by the CLI), and the original infallible signature,
-//! now a thin wrapper that panics on failure (used by tests and benches
-//! whose stages cannot fail).
+//! The compute stage runs each batch through three phases, so the whole
+//! batch's base-level alignment can be executed by a *backend* (CPU SIMD
+//! lanes, the simulated GPU) in one submission:
+//!
+//! 1. **plan** — per item, on the worker pool, longest item first (long
+//!    reads carry the most alignment work, so they anchor the schedule):
+//!    seed, chain, and describe the DP problems the item needs (returns
+//!    `M`, e.g. a set of `AlignJob`s plus everything needed to resume);
+//! 2. **dispatch** — once per batch, on the compute thread: ship every
+//!    item's jobs to the backend and return one `D` per plan, in plan
+//!    order. The dispatch closure may interpose the length-binned scheduler
+//!    (`mmm_exec::sched`) — any reordering inside it is invisible here.
+//!    Per-item outcomes (a quarantined job, say) are the caller's to type
+//!    inside `D`; a whole-batch `Err` is fatal ([`PipelineError::Dispatch`])
+//!    — the `--fail-fast` escape hatch and the contract-violation path
+//!    (wrong result count);
+//! 3. **finalize** — per item, on the worker pool again: splice the
+//!    backend's results into the item's output (returns `R`).
+//!
+//! Both per-item phases run on the *same* persistent pool (one worker-state
+//! build per run, zero per-batch spawns). A panic in `plan` or `finalize`
+//! degrades that one item through the [`PanicHandler`]; items that panic
+//! in `plan` are excluded from dispatch.
+//!
+//! Output is always in input order regardless of scheduling. On a reader,
+//! writer or dispatch error the pipeline shuts down promptly — no deadlock,
+//! no poisoned stats — and the first failure is the one reported.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::sync_channel;
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use crate::error::{DynError, PipelineError};
-use crate::pool::{with_worker_pool, BatchOutcome};
+use crate::pool::{with_worker_pool, BatchOutcome, WorkerPool};
 use crate::sort::sort_indices_by_len_desc;
-use crate::sync::{lock_unpoisoned, wait_unpoisoned};
+use crate::sync::lock_unpoisoned;
 
 /// Aggregate timings of a pipeline run. Stage seconds are summed across
 /// batches (stages overlap, so they may exceed `wall_seconds`).
@@ -23,7 +46,7 @@ pub struct PipelineStats {
     pub batches: usize,
     pub items: usize,
     /// Items whose worker panicked and that were degraded through the
-    /// `on_item_panic` handler instead of producing a real result.
+    /// panic handler instead of producing a real result.
     pub failed_items: usize,
     pub in_seconds: f64,
     pub compute_seconds: f64,
@@ -33,10 +56,29 @@ pub struct PipelineStats {
 
 /// Handler invoked for an item whose worker panicked: receives the item and
 /// the panic message, returns the substitute result (e.g. an "unmapped"
-/// record). Installing one turns worker panics into per-item degradation;
-/// without one the first panic aborts the run with
-/// [`PipelineError::WorkerPanic`].
-pub type PanicHandler<'a, I, R> = Option<&'a (dyn Fn(&I, &str) -> R + Sync)>;
+/// record), so a panic degrades one item instead of killing the run.
+pub type PanicHandler<'a, I, R> = &'a (dyn Fn(&I, &str) -> R + Sync);
+
+/// Internal pool item: the two per-item phases share one worker pool, so
+/// the pool's item type is this enum.
+enum Step<I, M, D> {
+    Plan(I),
+    Fin(I, M, D),
+}
+
+impl<I, M, D> Step<I, M, D> {
+    fn item(&self) -> &I {
+        match self {
+            Step::Plan(i) | Step::Fin(i, _, _) => i,
+        }
+    }
+}
+
+/// Internal pool result matching [`Step`].
+enum StepOut<M, R> {
+    Planned(M),
+    Final(R),
+}
 
 fn record_error(slot: &Mutex<Option<PipelineError>>, e: PipelineError) {
     let mut g = lock_unpoisoned(slot);
@@ -45,86 +87,156 @@ fn record_error(slot: &Mutex<Option<PipelineError>>, e: PipelineError) {
     }
 }
 
-/// Substitute handler results for panicked items, or produce the fatal
-/// error if no handler is installed. Returns `Err(fatal)` to abort.
-fn settle_batch<I, R>(
-    batch: &[I],
-    outcome: BatchOutcome<R>,
+/// Pair each step with its pool result, or with the message of the panic
+/// that replaced it.
+fn settle<T, U>(steps: Vec<T>, outcome: BatchOutcome<U>) -> Vec<(T, Result<U, String>)> {
+    let mut msgs: Vec<Option<String>> = (0..steps.len()).map(|_| None).collect();
+    for p in outcome.panics {
+        msgs[p.index] = Some(p.message);
+    }
+    steps
+        .into_iter()
+        .zip(outcome.results)
+        .zip(msgs)
+        .map(|((step, res), msg)| {
+            let res = res.ok_or_else(|| {
+                msg.unwrap_or_else(|| "item abandoned by the worker pool".to_string())
+            });
+            (step, res)
+        })
+        .collect()
+}
+
+/// Run one batch through plan → dispatch → finalize. Returns results in
+/// original item order plus the number of degraded items.
+#[allow(clippy::type_complexity)]
+fn run_batch<I, M, D, R>(
+    pool: &WorkerPool<'_, Step<I, M, D>, StepOut<M, R>>,
+    batch: Vec<I>,
+    dispatch: &mut (dyn FnMut(&mut [M]) -> Result<Vec<D>, DynError> + Send),
+    len_of: &(dyn Fn(&I) -> usize + Sync),
     on_item_panic: PanicHandler<'_, I, R>,
-) -> Result<(Vec<R>, usize), PipelineError> {
-    let BatchOutcome {
-        mut results,
-        panics,
-    } = outcome;
-    let failed = panics.len();
-    if !panics.is_empty() {
-        match on_item_panic {
-            Some(handler) => {
-                for p in &panics {
-                    results[p.index] = Some(handler(&batch[p.index], &p.message));
-                }
+) -> Result<(Vec<R>, usize), PipelineError>
+where
+    I: Send + Sync,
+    M: Send + Sync,
+    D: Send + Sync,
+    R: Send,
+{
+    let n = batch.len();
+    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    let mut failed = 0usize;
+
+    // Phase 1: plan every item, longest first.
+    let plan_steps: Vec<Step<I, M, D>> = batch.into_iter().map(Step::Plan).collect();
+    let order = sort_indices_by_len_desc(&plan_steps, |s| len_of(s.item()));
+    let outcome = pool.run_batch_catching(&plan_steps, &order);
+
+    // Survivors go on to dispatch; plan-phase panics degrade now.
+    let mut fin_idx: Vec<usize> = Vec::with_capacity(n);
+    let mut fin_items: Vec<I> = Vec::with_capacity(n);
+    let mut plans: Vec<M> = Vec::with_capacity(n);
+    for (idx, (step, res)) in settle(plan_steps, outcome).into_iter().enumerate() {
+        let Step::Plan(item) = step else {
+            continue; // phase-1 items are always Plan
+        };
+        match res {
+            Ok(StepOut::Planned(m)) => {
+                fin_idx.push(idx);
+                fin_items.push(item);
+                plans.push(m);
             }
-            None => {
-                let p = &panics[0];
-                return Err(PipelineError::WorkerPanic {
-                    item_index: p.index,
-                    message: p.message.clone(),
-                });
+            Ok(StepOut::Final(_)) => {} // plan steps never finalize
+            Err(msg) => {
+                out[idx] = Some(on_item_panic(&item, &msg));
+                failed += 1;
             }
         }
     }
-    // Every `None` slot carries a panic entry (the pool synthesizes one),
-    // so after substitution the flatten drops nothing.
-    Ok((results.into_iter().flatten().collect(), failed))
-}
 
-fn finish(
-    stats: Mutex<PipelineStats>,
-    failure: Mutex<Option<PipelineError>>,
-    wall: Instant,
-) -> Result<PipelineStats, PipelineError> {
-    if let Some(e) = lock_unpoisoned(&failure).take() {
-        return Err(e);
+    // Phase 2: one backend submission for the whole batch, serial on the
+    // compute thread.
+    let dispatched = dispatch(&mut plans).map_err(PipelineError::Dispatch)?;
+    if dispatched.len() != plans.len() {
+        return Err(PipelineError::Dispatch(
+            format!(
+                "dispatch returned {} results for {} plans",
+                dispatched.len(),
+                plans.len()
+            )
+            .into(),
+        ));
     }
-    let mut s = stats.into_inner().unwrap_or_else(PoisonError::into_inner);
-    s.wall_seconds = wall.elapsed().as_secs_f64();
-    Ok(s)
+
+    // Phase 3: finalize survivors on the pool. `fin_idx[k]` is the original
+    // index of finalize step `k`.
+    let fin_steps: Vec<Step<I, M, D>> = fin_items
+        .into_iter()
+        .zip(plans)
+        .zip(dispatched)
+        .map(|((item, m), d)| Step::Fin(item, m, d))
+        .collect();
+    let fin_order: Vec<usize> = (0..fin_steps.len()).collect();
+    let outcome = pool.run_batch_catching(&fin_steps, &fin_order);
+    for (k, (step, res)) in settle(fin_steps, outcome).into_iter().enumerate() {
+        let idx = fin_idx[k];
+        match res {
+            Ok(StepOut::Final(r)) => out[idx] = Some(r),
+            Ok(StepOut::Planned(_)) => {} // finalize steps never plan
+            Err(msg) => {
+                out[idx] = Some(on_item_panic(step.item(), &msg));
+                failed += 1;
+            }
+        }
+    }
+
+    // Every slot is filled: survivors by phase 3, failures by the handler.
+    Ok((out.into_iter().flatten().collect(), failed))
 }
 
-/// manymap's 3-thread design: a reader thread, the compute stage (persistent
-/// worker pool), and a writer thread, connected by bounded channels so input
-/// and output overlap computation *and* each other.
+/// The pipeline: reader thread → {plan on the pool → dispatch on the
+/// compute thread → finalize on the pool} → writer thread.
 ///
+/// See the module docs for phase semantics. Generic over:
+/// * `I` — input item (a read), `M` — per-item plan, `D` — per-item
+///   dispatch result, `R` — output record, `S` — per-worker state;
 /// * `read_batch` returns the next batch, `Ok(None)` at end of input, or an
-///   error that stops the run with [`PipelineError::Read`];
+///   error that stops the run with [`PipelineError::Read`] (a queue-fed
+///   caller passes `|| Ok(queue.pop())`, so closing the queue drains and
+///   ends the run);
 /// * each of the `threads` workers builds one private state with
 ///   `make_state(worker_idx)` when the pool starts (e.g. an alignment
 ///   scratch arena) and keeps it for the whole run;
-/// * `map` is applied to every item (longest-first when `sort_by_len` is
-///   set, via `len_of`); a panic in `map` is caught per item and handled by
-///   `on_item_panic` (see [`PanicHandler`]);
+/// * `plan(&mut S, &I) -> M` and `finalize(&mut S, &I, &M, &D) -> R` run on
+///   the worker pool; a panic in either is handled by `on_item_panic`;
+/// * `dispatch(&mut [M]) -> Result<Vec<D>, DynError>` runs serially per
+///   batch and must return exactly one `D` per plan, in order. It may take
+///   what it ships out of the plans (e.g. `std::mem::take` their jobs);
+/// * `len_of` orders the plan phase, longest first;
 /// * `write_batch` consumes results in batch order; an error stops the run
 ///   with [`PipelineError::Write`].
-///
-/// On error the pipeline shuts down promptly and cleanly: no deadlock, no
-/// poisoned stats, and the first failure is the one reported.
 #[allow(clippy::too_many_arguments)]
-pub fn try_run_three_thread_with_state<I, R, S, FIn, FState, FMap, FLen, FOut>(
+pub fn run_pipeline<I, M, D, R, S, FIn, FState, FPlan, FDispatch, FFin, FLen, FOut>(
     mut read_batch: FIn,
     make_state: FState,
-    map: FMap,
+    plan: FPlan,
+    mut dispatch: FDispatch,
+    finalize: FFin,
     len_of: FLen,
     mut write_batch: FOut,
     on_item_panic: PanicHandler<'_, I, R>,
     threads: usize,
-    sort_by_len: bool,
 ) -> Result<PipelineStats, PipelineError>
 where
     I: Send + Sync,
+    M: Send + Sync,
+    D: Send + Sync,
     R: Send,
     FIn: FnMut() -> Result<Option<Vec<I>>, DynError> + Send,
     FState: Fn(usize) -> S + Sync,
-    FMap: Fn(&mut S, &I) -> R + Sync,
+    FPlan: Fn(&mut S, &I) -> M + Sync,
+    FDispatch: FnMut(&mut [M]) -> Result<Vec<D>, DynError> + Send,
+    FFin: Fn(&mut S, &I, &M, &D) -> R + Sync,
     FLen: Fn(&I) -> usize + Sync,
     FOut: FnMut(Vec<R>) -> Result<(), DynError> + Send,
 {
@@ -132,14 +244,19 @@ where
     let failure = Mutex::new(None::<PipelineError>);
     let wall = Instant::now();
 
-    with_worker_pool(threads, make_state, map, |pool| {
+    let step = |st: &mut S, item: &Step<I, M, D>| match item {
+        Step::Plan(i) => StepOut::Planned(plan(st, i)),
+        Step::Fin(i, m, d) => StepOut::Final(finalize(st, i, m, d)),
+    };
+
+    with_worker_pool(threads, make_state, step, |pool| {
         let (in_tx, in_rx) = sync_channel::<Vec<I>>(2);
         let (out_tx, out_rx) = sync_channel::<Vec<R>>(2);
 
         std::thread::scope(|scope| {
-            // Reader.
             let stats_ref = &stats;
             let failure_ref = &failure;
+            // Reader.
             scope.spawn(move || loop {
                 let t0 = Instant::now();
                 let batch = read_batch();
@@ -171,23 +288,18 @@ where
                 }
             });
 
-            // Compute stage on this thread; workers persist across batches.
+            // Compute stage on this thread: plan/finalize on the pool,
+            // dispatch here.
             let in_rx = in_rx; // owned here so it can be dropped early below
             while let Ok(batch) = in_rx.recv() {
                 let t0 = Instant::now();
-                let order = if sort_by_len {
-                    sort_indices_by_len_desc(&batch, &len_of)
-                } else {
-                    (0..batch.len()).collect()
-                };
-                let outcome = pool.run_batch_catching(&batch, &order);
-                let settled = settle_batch(&batch, outcome, on_item_panic);
-                let results = match settled {
+                let n = batch.len();
+                let results = match run_batch(pool, batch, &mut dispatch, &len_of, on_item_panic) {
                     Ok((results, failed)) => {
                         let mut s = lock_unpoisoned(&stats);
                         s.compute_seconds += t0.elapsed().as_secs_f64();
                         s.batches += 1;
-                        s.items += batch.len();
+                        s.items += n;
                         s.failed_items += failed;
                         results
                     }
@@ -210,421 +322,347 @@ where
         });
     });
 
-    finish(stats, failure, wall)
-}
-
-/// Infallible wrapper around [`try_run_three_thread_with_state`] keeping the
-/// original signature: stages cannot fail, and a worker panic is re-raised
-/// on the calling thread with the item index attached.
-pub fn run_three_thread_with_state<I, R, S, FIn, FState, FMap, FLen, FOut>(
-    mut read_batch: FIn,
-    make_state: FState,
-    map: FMap,
-    len_of: FLen,
-    mut write_batch: FOut,
-    threads: usize,
-    sort_by_len: bool,
-) -> PipelineStats
-where
-    I: Send + Sync,
-    R: Send,
-    FIn: FnMut() -> Option<Vec<I>> + Send,
-    FState: Fn(usize) -> S + Sync,
-    FMap: Fn(&mut S, &I) -> R + Sync,
-    FLen: Fn(&I) -> usize + Sync,
-    FOut: FnMut(Vec<R>) + Send,
-{
-    match try_run_three_thread_with_state(
-        move || Ok(read_batch()),
-        make_state,
-        map,
-        len_of,
-        move |r| {
-            write_batch(r);
-            Ok(())
-        },
-        None,
-        threads,
-        sort_by_len,
-    ) {
-        Ok(s) => s,
-        Err(e @ PipelineError::WorkerPanic { .. }) => panic!("{e}"),
-        // The wrapped stages never return errors.
-        Err(e) => panic!("infallible pipeline stage failed: {e}"),
+    if let Some(e) = lock_unpoisoned(&failure).take() {
+        return Err(e);
     }
-}
-
-/// Stateless convenience wrapper around [`run_three_thread_with_state`],
-/// keeping the original `mmm-pipeline` signature.
-pub fn run_three_thread<I, R, FIn, FMap, FLen, FOut>(
-    read_batch: FIn,
-    map: FMap,
-    len_of: FLen,
-    write_batch: FOut,
-    threads: usize,
-    sort_by_len: bool,
-) -> PipelineStats
-where
-    I: Send + Sync,
-    R: Send,
-    FIn: FnMut() -> Option<Vec<I>> + Send,
-    FMap: Fn(&I) -> R + Sync,
-    FLen: Fn(&I) -> usize + Sync,
-    FOut: FnMut(Vec<R>) + Send,
-{
-    run_three_thread_with_state(
-        read_batch,
-        |_| (),
-        |(), item| map(item),
-        len_of,
-        write_batch,
-        threads,
-        sort_by_len,
-    )
-}
-
-/// minimap2's 2-thread design: two pipeline slots alternate batches, each
-/// running load → compute → output sequentially; the compute sections are
-/// mutually exclusive (they use the whole worker pool), so one slot's
-/// compute overlaps the other slot's I/O only.
-///
-/// Fault semantics match [`try_run_three_thread_with_state`]. A failing slot
-/// raises a shared abort flag (and wakes any slot parked on the in-order
-/// writer condvar) so the run always terminates — a batch id that will never
-/// be written cannot wedge the other slot.
-pub fn try_run_two_thread_with_state<I, R, S, FIn, FState, FMap, FOut>(
-    read_batch: FIn,
-    make_state: FState,
-    map: FMap,
-    write_batch: FOut,
-    on_item_panic: PanicHandler<'_, I, R>,
-    threads: usize,
-) -> Result<PipelineStats, PipelineError>
-where
-    I: Send + Sync,
-    R: Send,
-    FIn: FnMut() -> Result<Option<Vec<I>>, DynError> + Send,
-    FState: Fn(usize) -> S + Sync,
-    FMap: Fn(&mut S, &I) -> R + Sync,
-    FOut: FnMut(Vec<R>) -> Result<(), DynError> + Send,
-{
-    let stats = Mutex::new(PipelineStats::default());
-    let failure = Mutex::new(None::<PipelineError>);
-    let wall = Instant::now();
-    // Shared, locked resources mirroring the design's constraints. Batch ids
-    // are handed out under the reader lock — and only when the read actually
-    // produced a batch, so end-of-input never consumes an id (a consumed id
-    // with no batch behind it would wedge the in-order writer below).
-    let reader = Mutex::new((read_batch, 0usize)); // (source, next batch id)
-    let writer = Mutex::new((write_batch, 0usize)); // (sink, next batch id)
-    let writer_turn = Condvar::new();
-    let compute = Mutex::new(());
-    let abort = AtomicBool::new(false);
-
-    // Record the first failure and wake every slot parked on the writer
-    // condvar. The flag is raised under the writer lock so a slot checking
-    // it before waiting cannot miss the wakeup.
-    let trigger_abort = |e: PipelineError| {
-        record_error(&failure, e);
-        let _w = lock_unpoisoned(&writer);
-        abort.store(true, Ordering::SeqCst);
-        writer_turn.notify_all();
-    };
-
-    with_worker_pool(threads, make_state, map, |pool| {
-        std::thread::scope(|scope| {
-            for _slot in 0..2 {
-                scope.spawn(|| loop {
-                    if abort.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    // Load (serialized on the reader).
-                    let (my_id, batch) = {
-                        let mut rd = lock_unpoisoned(&reader);
-                        let t0 = Instant::now();
-                        let b = (rd.0)();
-                        lock_unpoisoned(&stats).in_seconds += t0.elapsed().as_secs_f64();
-                        match b {
-                            Ok(Some(b)) => {
-                                let my = rd.1;
-                                rd.1 += 1;
-                                (my, b)
-                            }
-                            Ok(None) => break,
-                            Err(e) => {
-                                drop(rd);
-                                trigger_abort(PipelineError::Read(e));
-                                break;
-                            }
-                        }
-                    };
-                    // Compute (exclusive: uses the whole worker pool).
-                    let settled = {
-                        let _guard = lock_unpoisoned(&compute);
-                        let t0 = Instant::now();
-                        let order: Vec<usize> = (0..batch.len()).collect();
-                        let outcome = pool.run_batch_catching(&batch, &order);
-                        let settled = settle_batch(&batch, outcome, on_item_panic);
-                        if let Ok((_, failed)) = &settled {
-                            let mut s = lock_unpoisoned(&stats);
-                            s.compute_seconds += t0.elapsed().as_secs_f64();
-                            s.batches += 1;
-                            s.items += batch.len();
-                            s.failed_items += failed;
-                        }
-                        settled
-                    };
-                    let results = match settled {
-                        Ok((results, _)) => results,
-                        Err(fatal) => {
-                            trigger_abort(fatal);
-                            break;
-                        }
-                    };
-                    // Output in batch order, sleeping (not spinning) until
-                    // it is this batch's turn — or the run aborts.
-                    let mut w = lock_unpoisoned(&writer);
-                    while !abort.load(Ordering::SeqCst) && w.1 != my_id {
-                        w = wait_unpoisoned(&writer_turn, w);
-                    }
-                    if abort.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let t0 = Instant::now();
-                    let r = (w.0)(results);
-                    match r {
-                        Ok(()) => {
-                            w.1 += 1;
-                            writer_turn.notify_all();
-                            drop(w);
-                            lock_unpoisoned(&stats).out_seconds += t0.elapsed().as_secs_f64();
-                        }
-                        Err(e) => {
-                            drop(w);
-                            trigger_abort(PipelineError::Write(e));
-                            break;
-                        }
-                    }
-                });
-            }
-        });
-    });
-
-    finish(stats, failure, wall)
-}
-
-/// Infallible wrapper around [`try_run_two_thread_with_state`] keeping the
-/// original signature; a worker panic is re-raised on the calling thread.
-pub fn run_two_thread_with_state<I, R, S, FIn, FState, FMap, FOut>(
-    mut read_batch: FIn,
-    make_state: FState,
-    map: FMap,
-    mut write_batch: FOut,
-    threads: usize,
-) -> PipelineStats
-where
-    I: Send + Sync,
-    R: Send,
-    FIn: FnMut() -> Option<Vec<I>> + Send,
-    FState: Fn(usize) -> S + Sync,
-    FMap: Fn(&mut S, &I) -> R + Sync,
-    FOut: FnMut(Vec<R>) + Send,
-{
-    match try_run_two_thread_with_state(
-        move || Ok(read_batch()),
-        make_state,
-        map,
-        move |r| {
-            write_batch(r);
-            Ok(())
-        },
-        None,
-        threads,
-    ) {
-        Ok(s) => s,
-        Err(e @ PipelineError::WorkerPanic { .. }) => panic!("{e}"),
-        // The wrapped stages never return errors.
-        Err(e) => panic!("infallible pipeline stage failed: {e}"),
-    }
-}
-
-/// Stateless convenience wrapper around [`run_two_thread_with_state`],
-/// keeping the original `mmm-pipeline` signature.
-pub fn run_two_thread<I, R, FIn, FMap, FOut>(
-    read_batch: FIn,
-    map: FMap,
-    write_batch: FOut,
-    threads: usize,
-) -> PipelineStats
-where
-    I: Send + Sync,
-    R: Send,
-    FIn: FnMut() -> Option<Vec<I>> + Send,
-    FMap: Fn(&I) -> R + Sync,
-    FOut: FnMut(Vec<R>) + Send,
-{
-    run_two_thread_with_state(
-        read_batch,
-        |_| (),
-        |(), item| map(item),
-        write_batch,
-        threads,
-    )
+    let mut s = stats.into_inner().unwrap_or_else(PoisonError::into_inner);
+    s.wall_seconds = wall.elapsed().as_secs_f64();
+    Ok(s)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::BoundedQueue;
 
-    fn batches(n_batches: usize, per: usize) -> Vec<Vec<u64>> {
-        (0..n_batches)
-            .map(|b| (0..per as u64).map(|i| b as u64 * 1000 + i).collect())
-            .collect()
-    }
-
-    fn feeder(mut data: Vec<Vec<u64>>) -> impl FnMut() -> Option<Vec<u64>> + Send {
+    fn feeder(
+        mut data: Vec<Vec<u64>>,
+    ) -> impl FnMut() -> Result<Option<Vec<u64>>, DynError> + Send {
         data.reverse();
-        move || data.pop()
+        move || Ok(data.pop())
     }
 
-    #[test]
-    fn three_thread_preserves_order() {
-        let input = batches(6, 40);
-        let flat: Vec<u64> = input.iter().flatten().copied().collect();
+    /// A handler that makes degraded items visible in the output.
+    fn mark(item: &u64, _msg: &str) -> u64 {
+        item * 1000
+    }
+
+    /// A dispatch that answers every plan with `()`.
+    fn unit_dispatch(plans: &mut [u64]) -> Result<Vec<()>, DynError> {
+        Ok(vec![(); plans.len()])
+    }
+
+    /// plan doubles, dispatch adds 1 to every plan, finalize multiplies the
+    /// dispatched value by 10 — so every stage's contribution is visible.
+    fn run_simple(input: Vec<Vec<u64>>, threads: usize) -> (Vec<u64>, PipelineStats) {
         let out = Mutex::new(Vec::new());
-        let stats = run_three_thread(
+        let stats = run_pipeline(
             feeder(input),
-            |&x| x * 3,
+            |_| (),
+            |(), &x: &u64| x * 2,
+            |plans: &mut [u64]| Ok(plans.iter().map(|m| m + 1).collect()),
+            |(), _item: &u64, _m: &u64, d: &u64| d * 10,
             |_| 1,
-            |r| out.lock().unwrap().extend(r),
-            4,
-            false,
-        );
-        assert_eq!(stats.batches, 6);
-        assert_eq!(stats.items, 240);
+            |r| {
+                out.lock().unwrap().extend(r);
+                Ok(())
+            },
+            &mark,
+            threads,
+        )
+        .unwrap();
+        (out.into_inner().unwrap(), stats)
+    }
+
+    #[test]
+    fn phases_compose_in_order() {
+        let input = vec![vec![1u64, 2, 3], vec![4, 5]];
+        let (got, stats) = run_simple(input, 3);
+        // x -> plan 2x -> dispatch 2x+1 -> finalize (2x+1)*10
+        assert_eq!(got, vec![30, 50, 70, 90, 110]);
+        assert_eq!(stats.batches, 2);
+        assert_eq!(stats.items, 5);
         assert_eq!(stats.failed_items, 0);
-        let got = out.into_inner().unwrap();
-        assert_eq!(got, flat.iter().map(|x| x * 3).collect::<Vec<u64>>());
     }
 
     #[test]
-    fn three_thread_sorted_compute_still_ordered_output() {
-        let input = vec![vec![5u64, 1, 9, 3], vec![2, 8]];
+    fn sorted_compute_keeps_output_order() {
+        let input = vec![vec![5u64, 1, 9, 3]];
         let out = Mutex::new(Vec::new());
-        run_three_thread(
+        run_pipeline(
             feeder(input),
-            |&x| x + 1,
-            |&x| x as usize, // "length" = value, so compute order differs
-            |r| out.lock().unwrap().extend(r),
-            3,
-            true,
-        );
-        assert_eq!(out.into_inner().unwrap(), vec![6, 2, 10, 4, 3, 9]);
-    }
-
-    #[test]
-    fn two_thread_preserves_order() {
-        let input = batches(7, 33);
-        let flat: Vec<u64> = input.iter().flatten().copied().collect();
-        let out = Mutex::new(Vec::new());
-        let stats = run_two_thread(
-            feeder(input),
-            |&x| x ^ 7,
-            |r| out.lock().unwrap().extend(r),
+            |_| (),
+            |(), &x: &u64| x,
+            unit_dispatch,
+            |(), _item, m: &u64, _d: &()| *m,
+            |&x| x as usize, // "length" = value: compute order differs
+            |r| {
+                out.lock().unwrap().extend(r);
+                Ok(())
+            },
+            &mark,
             4,
-        );
-        assert_eq!(stats.batches, 7);
+        )
+        .unwrap();
+        assert_eq!(out.into_inner().unwrap(), vec![5, 1, 9, 3]);
+    }
+
+    #[test]
+    fn plan_panic_degrades_one_item_and_skips_its_dispatch() {
+        let input = vec![vec![1u64, 7, 3]];
+        let out = Mutex::new(Vec::new());
+        let seen_by_dispatch = Mutex::new(Vec::new());
+        let stats = run_pipeline(
+            feeder(input),
+            |_| (),
+            |(), &x: &u64| {
+                if x == 7 {
+                    panic!("bad read");
+                }
+                x
+            },
+            |plans: &mut [u64]| {
+                seen_by_dispatch
+                    .lock()
+                    .unwrap()
+                    .extend(plans.iter().copied());
+                unit_dispatch(plans)
+            },
+            |(), _item, m: &u64, _d: &()| *m,
+            |_| 1,
+            |r| {
+                out.lock().unwrap().extend(r);
+                Ok(())
+            },
+            &mark,
+            2,
+        )
+        .unwrap();
+        assert_eq!(stats.failed_items, 1);
+        assert_eq!(out.into_inner().unwrap(), vec![1, 7000, 3]);
+        // The panicked item's plan never reached the backend.
+        assert_eq!(seen_by_dispatch.into_inner().unwrap(), vec![1, 3]);
+    }
+
+    #[test]
+    fn finalize_panic_degrades_one_item() {
+        let input = vec![vec![1u64, 2, 3, 4]];
+        let out = Mutex::new(Vec::new());
+        let handler = |item: &u64, msg: &str| {
+            assert!(msg.contains("bad finalize"), "handler saw {msg:?}");
+            item + 900
+        };
+        let stats = run_pipeline(
+            feeder(input),
+            |_| (),
+            |(), &x: &u64| x,
+            unit_dispatch,
+            |(), _item, m: &u64, _d: &()| {
+                if *m == 3 {
+                    panic!("bad finalize");
+                }
+                *m
+            },
+            |_| 1,
+            |r| {
+                out.lock().unwrap().extend(r);
+                Ok(())
+            },
+            &handler,
+            2,
+        )
+        .unwrap();
+        assert_eq!(stats.failed_items, 1);
+        assert_eq!(out.into_inner().unwrap(), vec![1, 2, 903, 4]);
+    }
+
+    /// Dispatch may take what it ships out of each plan; finalize sees the
+    /// plan as dispatch left it, paired with that plan's own result.
+    #[test]
+    fn dispatch_edits_plans_and_answers_each_in_order() {
+        let input = vec![vec![1u64, 2, 3]];
+        let out = Mutex::new(Vec::new());
+        run_pipeline(
+            feeder(input),
+            |_| (),
+            |(), &x: &u64| vec![x; x as usize],
+            |plans: &mut [Vec<u64>]| Ok(plans.iter_mut().map(std::mem::take).collect()),
+            |(), _item, m: &Vec<u64>, d: &Vec<u64>| (m.len(), d.len()),
+            |_| 1,
+            |r| {
+                out.lock().unwrap().extend(r);
+                Ok(())
+            },
+            &|_: &u64, _: &str| (usize::MAX, usize::MAX),
+            2,
+        )
+        .unwrap();
+        assert_eq!(out.into_inner().unwrap(), vec![(0, 1), (0, 2), (0, 3)]);
+    }
+
+    #[test]
+    fn dispatch_error_is_fatal() {
+        let input = vec![vec![1u64, 2], vec![3, 4]];
+        let err = run_pipeline(
+            feeder(input),
+            |_| (),
+            |(), &x: &u64| x,
+            |_plans: &mut [u64]| Err::<Vec<()>, DynError>("device on fire".into()),
+            |(), _item, m: &u64, _d: &()| *m,
+            |_| 1,
+            |_r| Ok(()),
+            &mark,
+            2,
+        )
+        .unwrap_err();
+        match err {
+            PipelineError::Dispatch(e) => assert!(e.to_string().contains("device on fire")),
+            other => panic!("expected Dispatch, got {other}"),
+        }
+    }
+
+    #[test]
+    fn short_dispatch_result_is_fatal_not_silent() {
+        let input = vec![vec![1u64, 2, 3]];
+        let err = run_pipeline(
+            feeder(input),
+            |_| (),
+            |(), &x: &u64| x,
+            |plans: &mut [u64]| Ok(vec![(); plans.len() - 1]),
+            |(), _item, m: &u64, _d: &()| *m,
+            |_| 1,
+            |_r| Ok(()),
+            &mark,
+            2,
+        )
+        .unwrap_err();
+        assert!(matches!(err, PipelineError::Dispatch(_)));
+    }
+
+    #[test]
+    fn empty_stream_and_empty_batches() {
+        let (got, stats) = run_simple(vec![], 2);
+        assert!(got.is_empty());
+        assert_eq!(stats.batches, 0);
+        let (got, stats) = run_simple(vec![vec![], vec![8]], 2);
+        assert_eq!(got, vec![170]);
+        assert_eq!(stats.batches, 2);
+    }
+
+    /// Queue-fed: a live producer pushes batches while the pipeline runs;
+    /// `close()` drains and terminates it. Results preserve push order.
+    #[test]
+    fn queue_fed_pipeline_drains_on_close() {
+        let input: BoundedQueue<Vec<u64>> = BoundedQueue::new(2);
+        let out = Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
+            let input = &input;
+            scope.spawn(move || {
+                for b in [vec![1u64, 2, 3], vec![4, 5], vec![6]] {
+                    input.push(b).unwrap();
+                }
+                input.close();
+            });
+            let stats = run_pipeline(
+                || Ok(input.pop()),
+                |_| (),
+                |(), &x: &u64| x * 2,
+                |plans: &mut [u64]| Ok(plans.iter().map(|m| m + 1).collect()),
+                |(), _item: &u64, _m: &u64, d: &u64| d * 10,
+                |_| 1,
+                |r| {
+                    out.lock().unwrap().extend(r);
+                    Ok(())
+                },
+                &mark,
+                3,
+            )
+            .unwrap();
+            assert_eq!(stats.batches, 3);
+            assert_eq!(stats.items, 6);
+        });
         assert_eq!(
             out.into_inner().unwrap(),
-            flat.iter().map(|x| x ^ 7).collect::<Vec<u64>>()
+            vec![30, 50, 70, 90, 110, 130] // (2x+1)*10
         );
     }
 
+    /// Closing an already-empty queue ends the run immediately with zero
+    /// batches — the idle-daemon shutdown path.
     #[test]
-    fn empty_stream() {
-        let out = Mutex::new(Vec::<u64>::new());
-        let stats = run_three_thread(
-            feeder(vec![]),
-            |&x: &u64| x,
+    fn queue_fed_pipeline_handles_immediate_close() {
+        let input: BoundedQueue<Vec<u64>> = BoundedQueue::new(1);
+        input.close();
+        let stats = run_pipeline(
+            || Ok(input.pop()),
+            |_| (),
+            |(), &x: &u64| x,
+            unit_dispatch,
+            |(), _item, m: &u64, _d: &()| *m,
             |_| 1,
-            |r| out.lock().unwrap().extend(r),
+            |_r| Ok(()),
+            &mark,
             2,
-            true,
-        );
+        )
+        .unwrap();
         assert_eq!(stats.batches, 0);
-        assert!(out.into_inner().unwrap().is_empty());
+        assert_eq!(stats.items, 0);
     }
 
     #[test]
-    fn both_designs_agree() {
-        let input = batches(5, 21);
-        let a = {
-            let out = Mutex::new(Vec::new());
-            run_three_thread(
-                feeder(input.clone()),
-                |&x| x * x,
-                |_| 1,
-                |r| out.lock().unwrap().extend(r),
-                3,
-                true,
-            );
-            out.into_inner().unwrap()
-        };
-        let b = {
-            let out = Mutex::new(Vec::new());
-            run_two_thread(
-                feeder(input),
-                |&x| x * x,
-                |r| out.lock().unwrap().extend(r),
-                3,
-            );
-            out.into_inner().unwrap()
-        };
-        assert_eq!(a, b);
+    fn read_error_stops_run() {
+        let mut calls = 0;
+        let err = run_pipeline(
+            move || {
+                calls += 1;
+                if calls > 2 {
+                    Err::<Option<Vec<u64>>, DynError>("disk gone".into())
+                } else {
+                    Ok(Some(vec![calls as u64]))
+                }
+            },
+            |_| (),
+            |(), &x: &u64| x,
+            unit_dispatch,
+            |(), _item, m: &u64, _d: &()| *m,
+            |_| 1,
+            |_r| Ok(()),
+            &mark,
+            2,
+        )
+        .unwrap_err();
+        assert!(matches!(err, PipelineError::Read(_)));
     }
 
     #[test]
-    fn stateful_three_thread_threads_state_through_workers() {
-        let input = batches(8, 25);
+    fn stateful_workers_keep_their_state_across_batches() {
+        let input: Vec<Vec<u64>> = (0..8)
+            .map(|b| (0..25).map(|i| b * 1000 + i).collect())
+            .collect();
         let flat: Vec<u64> = input.iter().flatten().copied().collect();
         let out = Mutex::new(Vec::new());
-        let stats = run_three_thread_with_state(
+        let stats = run_pipeline(
             feeder(input),
             |widx| (widx, 0u64), // per-worker scratch: (id, items served)
             |st: &mut (usize, u64), &x: &u64| {
                 st.1 += 1;
                 x * 2
             },
+            unit_dispatch,
+            |_st, _item, m: &u64, _d: &()| *m,
             |_| 1,
-            |r| out.lock().unwrap().extend(r),
+            |r| {
+                out.lock().unwrap().extend(r);
+                Ok(())
+            },
+            &mark,
             3,
-            true,
-        );
+        )
+        .unwrap();
         assert_eq!(stats.items, 200);
         assert_eq!(
             out.into_inner().unwrap(),
             flat.iter().map(|x| x * 2).collect::<Vec<u64>>()
         );
-    }
-
-    #[test]
-    fn two_thread_stops_cleanly_at_end_of_input() {
-        // A source that keeps returning None after the end must not wedge
-        // the in-order writer (regression: EOF used to consume a batch id).
-        for _ in 0..20 {
-            let mut remaining = 3;
-            let read = move || {
-                if remaining == 0 {
-                    None
-                } else {
-                    remaining -= 1;
-                    Some(vec![remaining as u64])
-                }
-            };
-            let out = Mutex::new(Vec::new());
-            let stats = run_two_thread(read, |&x| x, |r| out.lock().unwrap().extend(r), 2);
-            assert_eq!(stats.batches, 3);
-            assert_eq!(out.into_inner().unwrap(), vec![2, 1, 0]);
-        }
     }
 }

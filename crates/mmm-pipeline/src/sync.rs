@@ -2,8 +2,8 @@
 //!
 //! The pipeline catches worker panics per item, but a panic elsewhere (the
 //! body closure, a reader thread) can still poison a shared mutex. All
-//! pipeline state guarded by these locks (counters, the batch hand-off
-//! slots) stays internally consistent across a panic — every update is a
+//! pipeline state guarded by these locks (stats counters, the first-error
+//! slot) stays internally consistent across a panic — every update is a
 //! single field store — so recovering the guard is always safe and the
 //! alternative, a `PoisonError` cascade that masks the original panic,
 //! never helps. Every lock in this crate goes through these helpers.

@@ -1,18 +1,18 @@
-//! Fault-injection suite for the batch pipelines.
+//! Fault-injection suite for the batch pipeline.
 //!
-//! Drives every degradation path of the fallible pipelines with the
-//! adapters from `mmm_pipeline::fault`: a reader erroring mid-run, a worker
-//! panicking mid-batch, a writer failing — on both the three-thread
-//! (manymap) and two-thread (minimap2) designs. The invariants: a typed
-//! error comes back (never a deadlock, never a poisoned mutex), and with a
-//! panic handler installed the run completes with the failure counted.
+//! Drives every degradation path of [`run_pipeline`] with the adapters from
+//! `mmm_pipeline::fault`: a reader erroring mid-run, a worker panicking
+//! mid-batch (in plan or in finalize), a writer failing. The invariants: a
+//! typed error comes back (never a deadlock, never a poisoned mutex), and a
+//! panicking item is degraded through the handler while the run completes
+//! with the failure counted.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use mmm_pipeline::{
-    failing_every, panicking_map, run_two_thread, try_run_three_thread_with_state,
-    try_run_two_thread_with_state, DynError, PipelineError,
+    failing_every, panicking_map, run_pipeline, DynError, PanicHandler, PipelineError,
+    PipelineStats,
 };
 
 /// A reader producing `n_batches` batches of `batch` consecutive u32s.
@@ -35,21 +35,44 @@ fn double(_: &mut (), x: &u32) -> u64 {
     *x as u64 * 2
 }
 
+fn never_panics(_: &u32, msg: &str) -> u64 {
+    panic!("no item should degrade here: {msg}")
+}
+
+/// The pipeline with `plan` doing the work, a dispatch that answers every
+/// plan, and a finalize that passes the plan through.
+fn run(
+    read: impl FnMut() -> Result<Option<Vec<u32>>, DynError> + Send,
+    plan: impl Fn(&mut (), &u32) -> u64 + Sync,
+    write: impl FnMut(Vec<u64>) -> Result<(), DynError> + Send,
+    on_panic: PanicHandler<'_, u32, u64>,
+    threads: usize,
+) -> Result<PipelineStats, PipelineError> {
+    run_pipeline(
+        read,
+        |_| (),
+        plan,
+        |plans: &mut [u64]| Ok(vec![(); plans.len()]),
+        |(), _item, m: &u64, _d: &()| *m,
+        |_| 1,
+        write,
+        on_panic,
+        threads,
+    )
+}
+
 #[test]
 fn three_thread_reader_error_aborts_with_typed_error() {
     let written = AtomicUsize::new(0);
-    let err = try_run_three_thread_with_state(
+    let err = run(
         failing_every(counting_reader(100, 8), 3),
-        |_| (),
         double,
-        |_| 1,
         |rs| {
             written.fetch_add(rs.len(), Ordering::Relaxed);
             Ok(())
         },
-        None,
+        &never_panics,
         4,
-        false,
     )
     .unwrap_err();
     let PipelineError::Read(e) = err else {
@@ -61,29 +84,36 @@ fn three_thread_reader_error_aborts_with_typed_error() {
     assert!(written.load(Ordering::Relaxed) <= 16);
 }
 
+/// A panic in the finalize phase degrades its item through the same
+/// handler as a plan-phase panic, after the item went through dispatch.
 #[test]
-fn three_thread_worker_panic_without_handler_is_typed() {
-    let err = try_run_three_thread_with_state(
+fn three_thread_finalize_panic_degrades_through_the_handler() {
+    let on_panic = |item: &u32, msg: &str| -> u64 {
+        assert!(msg.contains("injected worker panic"), "{msg}");
+        assert_eq!(*item, 37);
+        u64::MAX
+    };
+    let out = Mutex::new(Vec::new());
+    let finalize = panicking_map(|_: &mut (), &m: &u64| m, |&m| m == 74);
+    let stats = run_pipeline(
         counting_reader(4, 16),
         |_| (),
-        panicking_map(double, |&x| x == 37),
+        double,
+        |plans: &mut [u64]| Ok(vec![(); plans.len()]),
+        |st: &mut (), _item: &u32, m: &u64, _d: &()| finalize(st, m),
         |_| 1,
-        |_| Ok(()),
-        None,
+        |rs| {
+            out.lock().unwrap().extend(rs);
+            Ok(())
+        },
+        &on_panic,
         4,
-        false,
     )
-    .unwrap_err();
-    let PipelineError::WorkerPanic {
-        item_index,
-        message,
-    } = err
-    else {
-        panic!("wrong variant: {err}");
-    };
-    // Index is batch-local: 37 is item 5 of the third batch (32..48).
-    assert_eq!(item_index, 5);
-    assert!(message.contains("injected worker panic"), "{message}");
+    .unwrap();
+    assert_eq!(stats.failed_items, 1);
+    let out = out.into_inner().unwrap();
+    assert_eq!(out.len(), 64, "every input accounted for");
+    assert_eq!(out[37], u64::MAX);
 }
 
 #[test]
@@ -96,18 +126,15 @@ fn three_thread_worker_panic_with_handler_degrades_and_counts() {
         u64::MAX
     };
     let out = Mutex::new(Vec::new());
-    let stats = try_run_three_thread_with_state(
+    let stats = run(
         counting_reader(4, 16),
-        |_| (),
         panicking_map(double, |&x| x == 37),
-        |_| 1,
         |rs| {
             out.lock().unwrap().extend(rs);
             Ok(())
         },
-        Some(&on_panic),
+        &on_panic,
         4,
-        false,
     )
     .unwrap();
     assert_eq!(stats.items, 64);
@@ -123,11 +150,9 @@ fn three_thread_worker_panic_with_handler_degrades_and_counts() {
 #[test]
 fn three_thread_writer_error_aborts_with_typed_error() {
     let mut calls = 0usize;
-    let err = try_run_three_thread_with_state(
+    let err = run(
         counting_reader(100, 8),
-        |_| (),
         double,
-        |_| 1,
         move |_| {
             calls += 1;
             if calls == 2 {
@@ -135,9 +160,8 @@ fn three_thread_writer_error_aborts_with_typed_error() {
             }
             Ok(())
         },
-        None,
+        &never_panics,
         4,
-        false,
     )
     .unwrap_err();
     let PipelineError::Write(e) = err else {
@@ -146,118 +170,17 @@ fn three_thread_writer_error_aborts_with_typed_error() {
     assert!(e.to_string().contains("disk full"), "{e}");
 }
 
-#[test]
-fn two_thread_reader_error_does_not_deadlock() {
-    let err = try_run_two_thread_with_state(
-        failing_every(counting_reader(100, 8), 4),
-        |_| (),
-        double,
-        |_| Ok(()),
-        None,
-        4,
-    )
-    .unwrap_err();
-    assert!(matches!(err, PipelineError::Read(_)), "{err}");
-}
-
-#[test]
-fn two_thread_writer_error_does_not_deadlock() {
-    // The in-order writer hand-off must not wedge when one slot's write
-    // fails: the error aborts the turn-taking, other slots bail out.
-    let written = Mutex::new(0usize);
-    let err = try_run_two_thread_with_state(
-        counting_reader(64, 4),
-        |_| (),
-        double,
-        |_| {
-            let mut w = written.lock().unwrap();
-            *w += 1;
-            if *w == 3 {
-                return Err("sink closed".into());
-            }
-            Ok(())
-        },
-        None,
-        4,
-    )
-    .unwrap_err();
-    let PipelineError::Write(e) = err else {
-        panic!("wrong variant: {err}");
-    };
-    assert!(e.to_string().contains("sink closed"), "{e}");
-}
-
-#[test]
-fn two_thread_worker_panic_with_handler_completes() {
-    let on_panic = |item: &u32, _msg: &str| -> u64 { *item as u64 * 2 };
-    let stats = try_run_two_thread_with_state(
-        counting_reader(8, 8),
-        |_| (),
-        panicking_map(double, |&x| x % 13 == 5),
-        |_| Ok(()),
-        Some(&on_panic),
-        4,
-    )
-    .unwrap();
-    assert_eq!(stats.items, 64);
-    assert_eq!(
-        stats.failed_items,
-        (0..64u32).filter(|x| x % 13 == 5).count()
-    );
-}
-
-#[test]
-fn legacy_infallible_api_panics_with_item_context() {
-    // The infallible wrappers cannot return an error; a worker panic must
-    // surface as a panic naming the offending item, not as a hang.
-    let mut batches = vec![(0u32..8).collect::<Vec<_>>()];
-    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_two_thread(
-            move || batches.pop(),
-            |x: &u32| {
-                if *x == 6 {
-                    panic!("kaboom");
-                }
-                *x
-            },
-            |_| {},
-            2,
-        )
-    }));
-    let msg = *caught
-        .expect_err("must panic")
-        .downcast::<String>()
-        .expect("panic payload");
-    assert!(
-        msg.contains("worker panicked while processing item 6") && msg.contains("kaboom"),
-        "{msg}"
-    );
-}
-
 /// Stress: repeat the fault scenarios many times to flush out rare
 /// interleavings (a deadlock here would hang the suite, not just fail it).
 #[test]
 fn fault_paths_are_stable_across_repeats() {
     for round in 0..50 {
         let every = 1 + round % 5;
-        let r = try_run_three_thread_with_state(
+        let r = run(
             failing_every(counting_reader(20, 4), every),
-            |_| (),
-            double,
-            |_| 1,
-            |_| Ok(()),
-            None,
-            3,
-            true,
-        );
-        assert!(matches!(r, Err(PipelineError::Read(_))));
-
-        let r = try_run_two_thread_with_state(
-            failing_every(counting_reader(20, 4), every),
-            |_| (),
             double,
             |_| Ok(()),
-            None,
+            &never_panics,
             3,
         );
         assert!(matches!(r, Err(PipelineError::Read(_))));

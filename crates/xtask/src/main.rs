@@ -25,8 +25,9 @@
 //!    build environment is offline and cannot install components.
 //! 5. `interleave` — the loom-lite interleaving checker (with the
 //!    happens-before race detector and lock-order detector on) over the
-//!    pipeline condvar hand-off, the `BoundedQueue` protocol, the DRR
-//!    credit gate, the signal-drain flush, and the watchdog rendezvous.
+//!    pipeline's worker-pool barrier and stage channels, the `BoundedQueue`
+//!    protocol, the DRR credit gate, the signal-drain flush, and the
+//!    watchdog rendezvous.
 
 mod fuzz;
 mod lex;
@@ -216,7 +217,7 @@ fn run_interleave(root: &Path) -> Result<(), String> {
             "--test",
             "interleavings",
         ],
-        "interleaving checker (pipeline hand-off)",
+        "interleaving checker (pipeline worker pool + stage channels)",
     )?;
     cargo(
         root,

@@ -1,6 +1,6 @@
 //! The paper's macro workload in miniature: map a simulated PacBio dataset
-//! through manymap's 3-thread pipeline and report accuracy plus the stage
-//! overlap statistics.
+//! through manymap's map session (the 3-thread pipeline) and report
+//! accuracy plus the stage overlap statistics.
 //!
 //! ```sh
 //! cargo run --release --example pacbio_pipeline
@@ -8,13 +8,29 @@
 
 use std::sync::Mutex;
 
-use manymap::{MapOpts, Mapper};
-use mmm_index::{IdxOpts, MinimizerIndex};
-use mmm_pipeline::run_three_thread;
+use manymap::{Format, Generation, MapOpts, MapSession, SessionConfig};
+use mmm_index::{AnyIndex, IdxOpts, MinimizerIndex};
 use mmm_seq::{nt4_decode, SeqRecord};
 use mmm_simreads::{
     evaluate, generate_genome, simulate_reads, GenomeOpts, MappingCall, Platform, SimOpts,
 };
+
+/// The primary mapping of one read's PAF records, if any.
+fn primary_call(read_id: usize, paf: &str) -> Option<MappingCall> {
+    let f: Vec<&str> = paf
+        .lines()
+        .find(|l| l.contains("\ttp:A:P"))?
+        .split('\t')
+        .collect();
+    Some(MappingCall {
+        read_id,
+        rid: 0, // one reference sequence
+        ref_start: f[7].parse().ok()?,
+        ref_end: f[8].parse().ok()?,
+        rev: f[4] == "-",
+        mapq: f[11].parse().ok()?,
+    })
+}
 
 fn main() {
     let genome = generate_genome(&GenomeOpts {
@@ -41,43 +57,32 @@ fn main() {
         reads.iter().map(|r| r.seq.len()).sum::<usize>()
     );
 
-    let mapper = Mapper::new(&index, MapOpts::map_pb());
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    // Every available core; the session sorts each batch longest-first.
+    let cfg = SessionConfig::new(MapOpts::map_pb());
+    let gen = Generation::new(0, AnyIndex::Flat(index), &cfg).unwrap();
+    let session = MapSession::new(cfg, gen, Format::Paf).unwrap();
 
-    // Feed the pipeline in batches of ~64 reads.
-    let mut batches: Vec<Vec<(usize, Vec<u8>)>> = reads
-        .chunks(64)
+    // Feed the pipeline in batches of ~64 reads, named by read id.
+    let records: Vec<SeqRecord> = reads
+        .iter()
         .enumerate()
-        .map(|(b, c)| {
-            c.iter()
-                .enumerate()
-                .map(|(i, r)| (b * 64 + i, r.seq.clone()))
-                .collect()
-        })
+        .map(|(i, r)| SeqRecord::new(i.to_string(), nt4_decode(&r.seq)))
         .collect();
+    let mut batches: Vec<Vec<SeqRecord>> = records.chunks(64).map(|c| c.to_vec()).collect();
     batches.reverse();
 
     let calls = Mutex::new(Vec::new());
-    let stats = run_three_thread(
-        move || batches.pop(),
-        |(id, seq): &(usize, Vec<u8>)| {
-            let ms = mapper.map_read(seq);
-            ms.into_iter().find(|m| m.primary).map(|m| MappingCall {
-                read_id: *id,
-                rid: m.rid,
-                ref_start: m.ref_start,
-                ref_end: m.ref_end,
-                rev: m.rev,
-                mapq: m.mapq,
-            })
-        },
-        |(_, seq)| seq.len(),
-        |results| calls.lock().unwrap().extend(results.into_iter().flatten()),
-        threads,
-        true, // long reads first
-    );
+    let stats = session
+        .run(
+            move || Ok(batches.pop()),
+            |_| {},
+            |rec: &SeqRecord, read| primary_call(rec.name.parse().unwrap(), &read.text),
+            |results| {
+                calls.lock().unwrap().extend(results.into_iter().flatten());
+                Ok(())
+            },
+        )
+        .unwrap();
 
     let truths: Vec<_> = reads.iter().map(|r| r.origin).collect();
     let summary = evaluate(&calls.into_inner().unwrap(), &truths);

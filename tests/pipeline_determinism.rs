@@ -1,122 +1,137 @@
-//! The parallel pipelines must produce byte-identical output to a serial
-//! run, regardless of thread count, batch sorting or pipeline design.
+//! The map session's pipeline must produce byte-identical output to a
+//! serial run, regardless of worker count, batch size or index shape.
 
 use std::sync::Mutex;
 
-use manymap::{MapOpts, Mapper};
-use mmm_index::MinimizerIndex;
-use mmm_pipeline::{run_three_thread, run_two_thread};
+use manymap::{
+    open_index, paf_line, Format, Generation, MapOpts, MapSession, Mapper, SessionConfig,
+};
+use mmm_index::{build_sharded, AnyIndex, MinimizerIndex};
 use mmm_seq::{nt4_decode, SeqRecord};
-use mmm_simreads::{generate_genome, simulate_reads, GenomeOpts, Platform, SimOpts};
+use mmm_simreads::{generate_chromosomes, simulate_reads, GenomeOpts, Platform, SimOpts};
 
-fn workload() -> (MinimizerIndex, Vec<Vec<u8>>, MapOpts) {
-    let genome = generate_genome(&GenomeOpts {
-        len: 200_000,
-        repeat_frac: 0.0,
-        seed: 31,
-        ..Default::default()
-    });
-    let opts = MapOpts::map_ont();
-    let index =
-        MinimizerIndex::build(&[SeqRecord::new("chr1", nt4_decode(&genome))], &opts.idx).unwrap();
-    let reads = simulate_reads(
-        &genome,
-        &SimOpts {
-            platform: Platform::Nanopore,
-            num_reads: 40,
-            seed: 13,
+/// Four chromosomes and nanopore reads simulated from each.
+fn workload() -> (Vec<SeqRecord>, Vec<SeqRecord>, MapOpts) {
+    let chroms = generate_chromosomes(
+        &GenomeOpts {
+            len: 200_000,
+            repeat_frac: 0.0,
+            seed: 31,
+            ..Default::default()
         },
+        4,
     );
-    (index, reads.into_iter().map(|r| r.seq).collect(), opts)
+    let refs: Vec<SeqRecord> = chroms
+        .iter()
+        .enumerate()
+        .map(|(i, g)| SeqRecord::new(format!("chr{}", i + 1), nt4_decode(g)))
+        .collect();
+    let mut reads = Vec::new();
+    for (ci, g) in chroms.iter().enumerate() {
+        let sims = simulate_reads(
+            g,
+            &SimOpts {
+                platform: Platform::Nanopore,
+                num_reads: 10,
+                seed: 13 + ci as u64,
+            },
+        );
+        reads.extend(
+            sims.iter()
+                .map(|r| SeqRecord::new(format!("c{}{}", ci + 1, r.name), nt4_decode(&r.seq))),
+        );
+    }
+    (refs, reads, MapOpts::map_ont())
 }
 
-fn serial_output(mapper: &Mapper<'_>, reads: &[Vec<u8>]) -> Vec<String> {
+/// The reference output: `Mapper::map_read` on each read in turn, as PAF.
+fn serial_paf(refs: &[SeqRecord], reads: &[SeqRecord], opts: MapOpts) -> Vec<String> {
+    let index = MinimizerIndex::build(refs, &opts.idx).unwrap();
+    let mapper = Mapper::new(&index, opts);
     reads
         .iter()
         .map(|r| {
-            mapper
-                .map_read(r)
-                .iter()
-                .map(|m| {
-                    format!(
-                        "{}:{}-{} {} {}",
-                        m.rid, m.ref_start, m.ref_end, m.rev, m.align_score
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(";")
+            let nt4 = r.nt4();
+            let mut text = String::new();
+            for m in mapper.map_read(&nt4) {
+                let t = &refs[m.rid as usize];
+                text.push_str(&paf_line(&r.name, nt4.len(), &t.name, t.len(), &m));
+                text.push('\n');
+            }
+            text
         })
         .collect()
 }
 
-fn feeder(reads: &[Vec<u8>], batch: usize) -> impl FnMut() -> Option<Vec<Vec<u8>>> + Send {
-    let mut chunks: Vec<Vec<Vec<u8>>> = reads.chunks(batch).map(|c| c.to_vec()).collect();
+/// One session run over `index`, fed in batches of `batch` reads.
+fn session_paf(
+    index: AnyIndex,
+    cfg: SessionConfig,
+    reads: &[SeqRecord],
+    batch: usize,
+) -> Vec<String> {
+    let gen = Generation::new(0, index, &cfg).unwrap();
+    let session = MapSession::new(cfg, gen, Format::Paf).unwrap();
+    let mut chunks: Vec<Vec<SeqRecord>> = reads.chunks(batch).map(|c| c.to_vec()).collect();
     chunks.reverse();
-    move || chunks.pop()
+    let out = Mutex::new(Vec::new());
+    session
+        .run(
+            move || Ok(chunks.pop()),
+            |_| {},
+            |rec: &SeqRecord, read| {
+                assert!(read.degraded.is_none(), "{} degraded", rec.name);
+                read.text
+            },
+            |texts| {
+                out.lock().unwrap().extend(texts);
+                Ok(())
+            },
+        )
+        .unwrap();
+    out.into_inner().unwrap()
+}
+
+fn config(opts: MapOpts, threads: usize) -> SessionConfig {
+    let mut cfg = SessionConfig::new(opts);
+    cfg.backend.threads = threads;
+    cfg
 }
 
 #[test]
 fn three_thread_pipeline_matches_serial() {
-    let (index, reads, opts) = workload();
-    let mapper = Mapper::new(&index, opts);
-    let expect = serial_output(&mapper, &reads);
+    let (refs, reads, opts) = workload();
+    let expect = serial_paf(&refs, &reads, opts);
+    assert!(expect.iter().filter(|t| !t.is_empty()).count() > 30);
 
     for threads in [1, 2, 4] {
-        for sort in [false, true] {
-            let out = Mutex::new(Vec::new());
-            run_three_thread(
-                feeder(&reads, 7),
-                |r: &Vec<u8>| {
-                    mapper
-                        .map_read(r)
-                        .iter()
-                        .map(|m| {
-                            format!(
-                                "{}:{}-{} {} {}",
-                                m.rid, m.ref_start, m.ref_end, m.rev, m.align_score
-                            )
-                        })
-                        .collect::<Vec<_>>()
-                        .join(";")
-                },
-                |r| r.len(),
-                |batch| out.lock().unwrap().extend(batch),
-                threads,
-                sort,
-            );
-            assert_eq!(
-                out.into_inner().unwrap(),
-                expect,
-                "threads={threads} sort={sort}"
-            );
+        for batch in [1, 7, 40] {
+            let index = AnyIndex::Flat(MinimizerIndex::build(&refs, &opts.idx).unwrap());
+            let got = session_paf(index, config(opts, threads), &reads, batch);
+            assert_eq!(got, expect, "threads={threads} batch={batch}");
         }
     }
 }
 
 #[test]
-fn two_thread_pipeline_matches_serial() {
-    let (index, reads, opts) = workload();
-    let mapper = Mapper::new(&index, opts);
-    let expect = serial_output(&mapper, &reads);
+fn sharded_session_matches_serial() {
+    let (refs, reads, opts) = workload();
+    let expect = serial_paf(&refs, &reads, opts);
 
-    let out = Mutex::new(Vec::new());
-    run_two_thread(
-        feeder(&reads, 9),
-        |r: &Vec<u8>| {
-            mapper
-                .map_read(r)
-                .iter()
-                .map(|m| {
-                    format!(
-                        "{}:{}-{} {} {}",
-                        m.rid, m.ref_start, m.ref_end, m.rev, m.align_score
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(";")
-        },
-        |batch| out.lock().unwrap().extend(batch),
-        3,
-    );
-    assert_eq!(out.into_inner().unwrap(), expect);
+    let dir = std::env::temp_dir().join(format!("manymap-determinism-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let manifest = dir.join("ref.mmx");
+    build_sharded(&refs, &opts.idx, opts.index_format, 4, &manifest).unwrap();
+    let manifest = manifest.display().to_string();
+
+    for threads in [1, 2, 4] {
+        for batch in [3, 40] {
+            let cfg = config(opts, threads);
+            let index = open_index(&manifest, &cfg, false, &|_| {}).unwrap();
+            assert_eq!(index.as_index_ref().num_shards(), 4);
+            let got = session_paf(index, cfg, &reads, batch);
+            assert_eq!(got, expect, "threads={threads} batch={batch}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
