@@ -54,6 +54,24 @@ target/release/manymap map "$SHARD_WORK/sharded.mmx" "$SHARD_WORK/reads.fa" \
     --threads 2 --mem-budget 64K >"$SHARD_WORK/sharded.paf" 2>/dev/null
 cmp "$SHARD_WORK/flat.paf" "$SHARD_WORK/sharded.paf" \
     || { echo "ci: sharded mapping diverged from flat"; exit 1; }
+# Legacy (v1) flat index: same key table, flat hit array, same bytes out.
+target/release/manymap index "$SHARD_WORK/ref.fa" "$SHARD_WORK/legacy.mmx" \
+    --index-format legacy 2>/dev/null
+target/release/manymap map "$SHARD_WORK/legacy.mmx" "$SHARD_WORK/reads.fa" \
+    --threads 2 >"$SHARD_WORK/legacy.paf" 2>/dev/null
+cmp "$SHARD_WORK/flat.paf" "$SHARD_WORK/legacy.paf" \
+    || { echo "ci: legacy-format mapping diverged from packed"; exit 1; }
+# HPC sketch (map-pb): a flat index and a 4-shard index map identically.
+target/release/manymap index "$SHARD_WORK/ref.fa" "$SHARD_WORK/pb_flat.mmx" \
+    --preset map-pb 2>/dev/null
+target/release/manymap index "$SHARD_WORK/ref.fa" "$SHARD_WORK/pb_sharded.mmx" \
+    --preset map-pb --shards 4 2>/dev/null
+for pb in pb_flat pb_sharded; do
+    target/release/manymap map "$SHARD_WORK/$pb.mmx" "$SHARD_WORK/reads.fa" \
+        --preset map-pb --threads 2 >"$SHARD_WORK/$pb.paf" 2>/dev/null
+done
+cmp "$SHARD_WORK/pb_flat.paf" "$SHARD_WORK/pb_sharded.paf" \
+    || { echo "ci: map-pb sharded mapping diverged from flat"; exit 1; }
 # Chaos gate: a dead shard must degrade its reads and exit 0, not crash.
 target/release/manymap map "$SHARD_WORK/sharded.mmx" "$SHARD_WORK/reads.fa" \
     --threads 2 --inject-backend-fault missing-shard:shards=1 \

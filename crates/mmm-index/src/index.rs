@@ -1,11 +1,11 @@
-//! The minimizer index: hash table + packed reference sequences.
+//! The minimizer index: sorted posting table + packed reference sequences.
 
 use mmm_chain::Anchor;
 use mmm_seq::{PackedSeq, SeqRecord};
 
 use crate::error::IndexError;
 use crate::minimizer::{minimizers, minimizers_hpc, Minimizer};
-use crate::postings::{IndexFormat, PackedPostings, PostingCursor, Postings};
+use crate::postings::{IndexFormat, KeyTable, PackedPostings, PostingCursor, Postings};
 use crate::unpack;
 
 /// Index construction parameters.
@@ -145,31 +145,35 @@ impl MinimizerIndex {
         let postings = match format {
             IndexFormat::Packed => Postings::Packed(PackedPostings::from_sorted_pairs(&pairs)?),
             IndexFormat::Legacy => {
-                let mut map = std::collections::HashMap::with_capacity(pairs.len() / 2 + 1);
-                let mut positions = Vec::with_capacity(pairs.len());
+                let (mut keys, mut vals) = (Vec::new(), Vec::new());
+                let positions: Vec<u64> = pairs.iter().map(|&(_, hit)| hit).collect();
                 let mut i = 0;
                 while i < pairs.len() {
                     let h = pairs[i].0;
-                    let start = positions.len() as u64;
                     let mut j = i;
                     while j < pairs.len() && pairs[j].0 == h {
-                        positions.push(pairs[j].1);
                         j += 1;
                     }
-                    map.insert(h, (start, (j - i) as u32));
+                    keys.push(h);
+                    vals.push((i as u64, (j - i) as u32));
                     i = j;
                 }
-                Postings::Flat { map, positions }
+                keys.shrink_to_fit();
+                vals.shrink_to_fit();
+                let table =
+                    KeyTable::new(keys, vals).map_err(|what| IndexError::PostingBudget { what })?;
+                Postings::Flat { table, positions }
             }
         };
 
         let max_occ = match &postings {
-            Postings::Flat { map, .. } => {
-                occurrence_cutoff(map.values().map(|&(_, c)| c), opts.occ_frac)
+            Postings::Flat { table, .. } => {
+                occurrence_cutoff(table.values().iter().map(|&(_, c)| c), opts.occ_frac)
             }
-            Postings::Packed(p) => {
-                occurrence_cutoff(p.map.values().map(|r| r.count() as u32), opts.occ_frac)
-            }
+            Postings::Packed(p) => occurrence_cutoff(
+                p.table.values().iter().map(|r| r.count() as u32),
+                opts.occ_frac,
+            ),
         };
         Ok(MinimizerIndex {
             k: opts.k,
@@ -186,12 +190,6 @@ impl MinimizerIndex {
         self.postings.format()
     }
 
-    /// Hits recorded for one minimizer hash (0 when absent) — one map
-    /// probe, no decode.
-    pub fn hit_count(&self, hash: u64) -> usize {
-        self.postings.count(hash)
-    }
-
     /// Decode the hits for one minimizer hash into `out` (cleared and
     /// refilled; empty when the hash is absent). Reusing `out` across
     /// calls makes bulk queries allocation-free.
@@ -200,14 +198,16 @@ impl MinimizerIndex {
     }
 
     /// Stream the hits for one minimizer hash without materializing them.
+    /// One table probe answers both questions a seed asks: the cursor's
+    /// `len()` is the hit count (0 when absent), and it yields the hits.
+    #[inline]
     pub fn hit_cursor(&self, hash: u64) -> PostingCursor<'_> {
         self.postings.cursor(hash)
     }
 
-    /// All minimizer hashes in sorted order (allocates; serialization and
-    /// cross-checking, not a mapping-path call).
-    pub fn sorted_hashes(&self) -> Vec<u64> {
-        self.postings.sorted_hashes()
+    /// All minimizer hashes, ascending (the key table's own order).
+    pub fn sorted_hashes(&self) -> &[u64] {
+        self.postings.keys()
     }
 
     /// Number of distinct minimizers.
@@ -235,19 +235,21 @@ impl MinimizerIndex {
         let qlen = query.len() as u32;
         let mut anchors = Vec::new();
         for m in sketch(query, self.k, self.w, self.hpc) {
-            let n = self.postings.count(m.hash);
+            let hits = self.postings.cursor(m.hash);
+            let n = hits.len();
             if n == 0 || n as u32 > self.max_occ {
                 continue;
             }
-            for h in self.postings.cursor(m.hash) {
+            for h in hits {
                 anchors.push(anchor_from_hit(&m, h, qlen, self.k, self.hpc, 0));
             }
         }
         anchors
     }
 
-    /// Approximate in-memory footprint in bytes (the paper's "Index Size"
-    /// column of Table 5).
+    /// Resident heap bytes: reference names and packed bases, the key
+    /// table and the hit storage (the paper's "Index Size" column of
+    /// Table 5; `--mem-budget` and `index.resident_mb` read it too).
     pub fn heap_bytes(&self) -> usize {
         let seq_bytes: usize = self
             .seqs
@@ -417,7 +419,7 @@ mod tests {
         let ms = minimizers(&g, idx.k, idx.w);
         let mut hits = Vec::new();
         for m in ms.iter().take(50) {
-            assert!(idx.hit_count(m.hash) > 0);
+            assert!(idx.hit_cursor(m.hash).len() > 0);
             idx.decode_hits_into(m.hash, &mut hits);
             assert!(!hits.is_empty());
         }
@@ -479,6 +481,32 @@ mod tests {
             legacy.posting_bytes()
         );
         assert!(packed.heap_bytes() < legacy.heap_bytes());
+    }
+
+    #[test]
+    fn heap_bytes_carry_no_slack() {
+        // Every resident array is sized exactly, so the footprint the
+        // memory budget reads is the sum of the array lengths: keys (8 B),
+        // values (16 B), directory entries (4 B), hits, and the sequences.
+        let g = random_genome(40_000, 12);
+        for format in [IndexFormat::Packed, IndexFormat::Legacy] {
+            let rec = SeqRecord::new("chr1", nt4_decode(&g));
+            let idx = MinimizerIndex::build_with_format(&[rec], &IdxOpts::MAP_ONT, format).unwrap();
+            let seq_bytes: usize = idx
+                .seqs
+                .iter()
+                .map(|s| s.seq.heap_bytes() + s.name.capacity())
+                .sum();
+            let keys = idx.num_minimizers();
+            // What is left after the sequences and the hit section (by
+            // length) is the key table: keys and values exactly, plus a
+            // directory of at most n/2 + 2 u32s.
+            let table = idx.heap_bytes() - seq_bytes - idx.posting_bytes();
+            assert!(
+                (keys * 24..=keys * 24 + (keys / 2 + 2) * 4).contains(&table),
+                "{format:?}: {table} table bytes for {keys} keys"
+            );
+        }
     }
 
     #[test]

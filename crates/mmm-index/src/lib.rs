@@ -2,7 +2,7 @@
 //!
 //! The seeding substrate of the aligner (§3.1): references are sketched with
 //! `(k, w)` minimizers (Roberts et al.), stored 2-bit packed alongside a
-//! hash table from minimizer hash to reference positions. Queries are
+//! sorted table from minimizer hash to reference positions. Queries are
 //! sketched with the same function and each shared minimizer becomes an
 //! anchor for chaining.
 //!
@@ -26,7 +26,7 @@ pub use error::IndexError;
 pub use index::{check_hit_budget, IdxOpts, MinimizerIndex, RefSeq, MAX_REF_LEN, MAX_REF_SEQS};
 pub use minimizer::{hash64, minimizers, Minimizer};
 pub use postings::{
-    BucketRef, IndexFormat, PackedPostings, PostingCursor, Postings, MAX_BLOCK_WORDS,
+    BucketRef, IndexFormat, KeyTable, PackedPostings, PostingCursor, Postings, MAX_BLOCK_WORDS,
     MAX_BUCKET_HITS,
 };
 pub use serialize::{load_index, load_index_mmap, parse_index, save_index, LoadStats};

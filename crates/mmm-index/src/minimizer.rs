@@ -63,6 +63,22 @@ pub fn minimizers_hpc(seq: &[u8], k: usize, w: usize) -> Vec<Minimizer> {
     minimizers_impl(seq, k, w, true)
 }
 
+/// Placeholder for "no k-mer here" (too close to the start or to an
+/// ambiguous base, or strand-symmetric). Real hashes are masked to `2k`
+/// bits, so `u64::MAX` never collides with one and is never emitted.
+const NO_KMER: Minimizer = Minimizer {
+    hash: u64::MAX,
+    pos: 0,
+    rev: false,
+    span: 0,
+};
+
+/// One pass over the sequence (minimap2's `mm_sketch`): each (compressed)
+/// symbol yields one candidate k-mer, which goes into a `w`-slot ring
+/// holding the current window. The window minimum is kept incrementally
+/// and the ring is rescanned only when the minimum slides out. Ties keep
+/// the leftmost k-mer, and consecutive windows sharing a minimum emit it
+/// once.
 fn minimizers_impl(seq: &[u8], k: usize, w: usize, hpc: bool) -> Vec<Minimizer> {
     assert!((4..=28).contains(&k), "k must be in [4, 28]");
     assert!((1..256).contains(&w), "w must be in [1, 255]");
@@ -73,15 +89,19 @@ fn minimizers_impl(seq: &[u8], k: usize, w: usize, hpc: bool) -> Vec<Minimizer> 
     let mask: u64 = (1 << (2 * k)) - 1;
     let shift = 2 * (k - 1);
     let (mut fwd, mut rc) = (0u64, 0u64);
-    let mut l = 0usize; // (compressed) bases since the last ambiguous base
-
-    // Per-candidate (hash, original end pos, rev, original span);
-    // u64::MAX marks "no k-mer". Under HPC one candidate is produced per
-    // *compressed* position (the last original base of its run).
-    let mut cands: Vec<Minimizer> = Vec::with_capacity(seq.len());
-    // Original start positions of the last k compressed symbols.
-    let mut starts: std::collections::VecDeque<u32> =
-        std::collections::VecDeque::with_capacity(k + 1);
+    // (Compressed) symbols since the last ambiguous base; `starts[j & 31]`
+    // is the original start of the j-th of them. k ≤ 28 < 32, so the
+    // starts of the current k-mer are never overwritten.
+    let mut l = 0usize;
+    let mut starts = [0u32; 32];
+    let mut ring = vec![NO_KMER; w];
+    let mut slot = 0usize;
+    // Candidate index of the window minimum `min`.
+    let (mut min, mut min_at) = (NO_KMER, 0usize);
+    let mut last_emitted: Option<(u64, u32)> = None;
+    // The first full window ends at candidate k-1+w-1; emit from there on.
+    let first_window = k + w - 2;
+    let mut n = 0usize;
     let mut i = 0usize;
     while i < seq.len() {
         let c = seq[i];
@@ -93,74 +113,48 @@ fn minimizers_impl(seq: &[u8], k: usize, w: usize, hpc: bool) -> Vec<Minimizer> 
                 run_end += 1;
             }
         }
+        let end = run_end - 1;
+        let mut cand = NO_KMER;
         if c < 4 {
             fwd = ((fwd << 2) | c as u64) & mask;
             rc = (rc >> 2) | ((3 - c as u64) << shift);
+            starts[l & 31] = run_start as u32;
             l += 1;
-            starts.push_back(run_start as u32);
-            if starts.len() > k {
-                starts.pop_front();
-            }
-        } else {
-            l = 0;
-            starts.clear();
-        }
-        let end = run_end - 1;
-        // `l >= k` guarantees `starts` holds k tracked symbol starts; the
-        // match keeps that invariant panic-free even if it ever broke.
-        let m = match starts.front() {
-            Some(&start) if l >= k && fwd != rc => {
+            if l >= k && fwd != rc {
                 let (key, rev) = if fwd < rc { (fwd, false) } else { (rc, true) };
-                Minimizer {
+                let start = starts[(l - k) & 31] as usize;
+                cand = Minimizer {
                     hash: hash64(key, mask),
                     pos: end as u32,
                     rev,
-                    span: (end - start as usize + 1).min(255) as u8,
+                    span: (end - start + 1).min(255) as u8,
+                };
+            }
+        } else {
+            l = 0;
+        }
+        ring[slot] = cand;
+        if cand.hash < min.hash {
+            (min, min_at) = (cand, n);
+        } else if min_at + w <= n {
+            // The minimum left the window: rescan oldest-first so that a
+            // tie keeps the leftmost k-mer. An all-empty window parks the
+            // minimum on the newest slot, so runs of N rescan once per `w`.
+            (min, min_at) = (NO_KMER, n);
+            let (newer, older) = ring.split_at(slot + 1);
+            for (j, r) in older.iter().chain(newer).enumerate() {
+                if r.hash < min.hash {
+                    (min, min_at) = (*r, n + 1 - w + j);
                 }
             }
-            _ => Minimizer {
-                hash: u64::MAX,
-                pos: end as u32,
-                rev: false,
-                span: 0,
-            },
-        };
-        cands.push(m);
+        }
+        if n >= first_window && min.hash != u64::MAX && last_emitted != Some((min.hash, min.pos)) {
+            out.push(min);
+            last_emitted = Some((min.hash, min.pos));
+        }
+        slot = if slot + 1 == w { 0 } else { slot + 1 };
+        n += 1;
         i = run_end;
-    }
-
-    // Sliding-window minimum with a monotonic deque over candidate hashes.
-    // The deque keeps indices with non-decreasing hash; ties keep the
-    // earliest (leftmost) k-mer, like minimap2's default.
-    let mut deque: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
-    let mut last_emitted: Option<(u64, u32)> = None;
-    for i in 0..cands.len() {
-        while let Some(&b) = deque.back() {
-            if cands[b].hash > cands[i].hash {
-                deque.pop_back();
-            } else {
-                break;
-            }
-        }
-        deque.push_back(i);
-        while let Some(&f) = deque.front() {
-            if f + w <= i {
-                deque.pop_front();
-            } else {
-                break;
-            }
-        }
-        // First full window ends at index k-1+w-1; emit from there on. The
-        // deque is never empty here (index i was just pushed).
-        if i + 1 >= k + w - 1 {
-            if let Some(&front) = deque.front() {
-                let best = cands[front];
-                if best.hash != u64::MAX && last_emitted != Some((best.hash, best.pos)) {
-                    out.push(best);
-                    last_emitted = Some((best.hash, best.pos));
-                }
-            }
-        }
     }
     out
 }
@@ -169,6 +163,110 @@ fn minimizers_impl(seq: &[u8], k: usize, w: usize, hpc: bool) -> Vec<Minimizer> 
 mod tests {
     use super::*;
     use mmm_seq::{revcomp4, to_nt4};
+
+    /// The two-pass sketch the single-pass one replaced, kept as the
+    /// reference it is tested against.
+    fn minimizers_reference(seq: &[u8], k: usize, w: usize, hpc: bool) -> Vec<Minimizer> {
+        assert!((4..=28).contains(&k), "k must be in [4, 28]");
+        assert!((1..256).contains(&w), "w must be in [1, 255]");
+        let mut out = Vec::with_capacity(seq.len() / (w + 1) * 2 + 16);
+        if seq.len() < k {
+            return out;
+        }
+        let mask: u64 = (1 << (2 * k)) - 1;
+        let shift = 2 * (k - 1);
+        let (mut fwd, mut rc) = (0u64, 0u64);
+        let mut l = 0usize; // (compressed) bases since the last ambiguous base
+
+        // Per-candidate (hash, original end pos, rev, original span);
+        // u64::MAX marks "no k-mer". Under HPC one candidate is produced per
+        // *compressed* position (the last original base of its run).
+        let mut cands: Vec<Minimizer> = Vec::with_capacity(seq.len());
+        // Original start positions of the last k compressed symbols.
+        let mut starts: std::collections::VecDeque<u32> =
+            std::collections::VecDeque::with_capacity(k + 1);
+        let mut i = 0usize;
+        while i < seq.len() {
+            let c = seq[i];
+            // With HPC, consume the whole run of identical bases.
+            let run_start = i;
+            let mut run_end = i + 1;
+            if hpc && c < 4 {
+                while run_end < seq.len() && seq[run_end] == c {
+                    run_end += 1;
+                }
+            }
+            if c < 4 {
+                fwd = ((fwd << 2) | c as u64) & mask;
+                rc = (rc >> 2) | ((3 - c as u64) << shift);
+                l += 1;
+                starts.push_back(run_start as u32);
+                if starts.len() > k {
+                    starts.pop_front();
+                }
+            } else {
+                l = 0;
+                starts.clear();
+            }
+            let end = run_end - 1;
+            // `l >= k` guarantees `starts` holds k tracked symbol starts; the
+            // match keeps that invariant panic-free even if it ever broke.
+            let m = match starts.front() {
+                Some(&start) if l >= k && fwd != rc => {
+                    let (key, rev) = if fwd < rc { (fwd, false) } else { (rc, true) };
+                    Minimizer {
+                        hash: hash64(key, mask),
+                        pos: end as u32,
+                        rev,
+                        span: (end - start as usize + 1).min(255) as u8,
+                    }
+                }
+                _ => Minimizer {
+                    hash: u64::MAX,
+                    pos: end as u32,
+                    rev: false,
+                    span: 0,
+                },
+            };
+            cands.push(m);
+            i = run_end;
+        }
+
+        // Sliding-window minimum with a monotonic deque over candidate hashes.
+        // The deque keeps indices with non-decreasing hash; ties keep the
+        // earliest (leftmost) k-mer, like minimap2's default.
+        let mut deque: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
+        let mut last_emitted: Option<(u64, u32)> = None;
+        for i in 0..cands.len() {
+            while let Some(&b) = deque.back() {
+                if cands[b].hash > cands[i].hash {
+                    deque.pop_back();
+                } else {
+                    break;
+                }
+            }
+            deque.push_back(i);
+            while let Some(&f) = deque.front() {
+                if f + w <= i {
+                    deque.pop_front();
+                } else {
+                    break;
+                }
+            }
+            // First full window ends at index k-1+w-1; emit from there on. The
+            // deque is never empty here (index i was just pushed).
+            if i + 1 >= k + w - 1 {
+                if let Some(&front) = deque.front() {
+                    let best = cands[front];
+                    if best.hash != u64::MAX && last_emitted != Some((best.hash, best.pos)) {
+                        out.push(best);
+                        last_emitted = Some((best.hash, best.pos));
+                    }
+                }
+            }
+        }
+        out
+    }
 
     #[test]
     fn hash_is_invertible_shaped() {
@@ -289,6 +387,70 @@ mod tests {
             !(start..=m.pos as usize).contains(&16)
         }));
         assert!(md.len() < mc.len());
+    }
+
+    /// nt4 sequence from `seed`: random bases broken by runs of N (code 4)
+    /// and homopolymer runs, the two inputs that reset or stretch k-mers.
+    fn run_heavy_seq(seed: u64, len: usize) -> Vec<u8> {
+        let mut state = seed | 1;
+        let mut next = move |m: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) % m) as usize
+        };
+        let mut seq = Vec::with_capacity(len + 64);
+        while seq.len() < len {
+            match next(40) {
+                0 => seq.extend(std::iter::repeat_n(4u8, 1 + next(40))),
+                1..=3 => seq.extend(std::iter::repeat_n(next(4) as u8, 2 + next(30))),
+                _ => seq.push(next(4) as u8),
+            }
+        }
+        seq.truncate(len);
+        seq
+    }
+
+    #[test]
+    fn single_pass_matches_reference_on_edge_windows() {
+        // All-N, all-one-base, w = 1 and w = 255, and lengths around k.
+        let cases: Vec<Vec<u8>> = vec![
+            vec![4; 600],
+            vec![2; 600],
+            run_heavy_seq(3, 27),
+            run_heavy_seq(4, 29),
+            run_heavy_seq(5, 5_000),
+        ];
+        for seq in &cases {
+            for (k, w) in [(4, 1), (15, 10), (19, 10), (28, 255), (4, 255)] {
+                for hpc in [false, true] {
+                    assert_eq!(
+                        minimizers_impl(seq, k, w, hpc),
+                        minimizers_reference(seq, k, w, hpc),
+                        "k={k} w={w} hpc={hpc} len={}",
+                        seq.len()
+                    );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        #[test]
+        fn single_pass_matches_reference(
+            seed in 0u64..u64::MAX,
+            len in 0usize..3_000,
+            k in 4usize..29,
+            w in 1usize..256,
+            hpc in proptest::bool::ANY
+        ) {
+            let seq = run_heavy_seq(seed, len);
+            proptest::prop_assert_eq!(
+                minimizers_impl(&seq, k, w, hpc),
+                minimizers_reference(&seq, k, w, hpc)
+            );
+        }
     }
 
     #[test]

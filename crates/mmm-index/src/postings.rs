@@ -1,22 +1,26 @@
 //! Posting-list storage: flat (legacy) and bit-packed FOR/delta (v2).
 //!
+//! Both layouts index their buckets through one [`KeyTable`]: the distinct
+//! minimizer hashes sorted in one array, the per-key values in a parallel
+//! array, and a radix directory over the keys' top bits. The image stores
+//! the keys in exactly this order, so opening an index fills the table in
+//! one pass with no rehashing, and a lookup is one directory read plus a
+//! binary search of a few keys.
+//!
 //! The legacy layout stores every hit as a full `u64` in one `positions`
-//! array with `(offset, count)` map values. The packed layout (DESIGN.md
-//! §14) keeps the same one-map-probe access pattern but stores each
-//! bucket as **base + bit-packed deltas**: hits within a bucket are
-//! strictly increasing, so the bucket is encoded as its first hit (FOR
-//! base) followed by `count − 1` successive differences packed at the
-//! bucket's minimum sufficient bit width. Map values become
-//! [`BucketRef`] — the same 16 bytes the legacy `(u64, u32)` value pads
-//! to, so the map costs nothing extra and the whole saving lands in the
-//! hit array. Singleton buckets (the common case under minimizer
-//! sketching) need zero block words: their one hit *is* the base.
+//! array with `(offset, count)` values. The packed layout (DESIGN.md §14)
+//! stores each bucket as **base + bit-packed deltas**: hits within a
+//! bucket are strictly increasing, so the bucket is encoded as its first
+//! hit (FOR base) followed by `count − 1` successive differences packed at
+//! the bucket's minimum sufficient bit width. Values become [`BucketRef`]
+//! — the same 16 bytes the legacy `(u64, u32)` value pads to, so the
+//! whole saving lands in the hit array. Singleton buckets (the common case
+//! under minimizer sketching) need zero block words: their one hit *is*
+//! the base.
 //!
 //! Decoding goes through [`unpack`]'s tiered kernels
 //! (scalar / AVX2 / AVX-512 VBMI) into caller-reused buffers, or
 //! streaming through a [`PostingCursor`] without materializing anything.
-
-use std::collections::HashMap;
 
 use crate::error::IndexError;
 use crate::unpack;
@@ -29,6 +33,108 @@ pub const MAX_BLOCK_WORDS: u64 = 1 << 37;
 /// drops buckets this repetitive during mapping anyway; the builder
 /// refuses (typed [`IndexError::PostingBudget`]) rather than truncate.
 pub const MAX_BUCKET_HITS: u64 = (1 << 20) - 1;
+
+/// Sorted minimizer-key table: strictly increasing keys, a parallel value
+/// array, and a radix directory over the keys' top bits.
+///
+/// `dir[b]` is the index of the first key whose top bits (`key >> shift`)
+/// are at least `b`, so bucket `b`'s keys are `keys[dir[b]..dir[b + 1]]`.
+/// The directory has about one entry per two keys; minimizer hashes are
+/// uniform, so a lookup binary-searches two or three keys. Directory
+/// entries are `u32`: a table holds at most `u32::MAX` keys.
+#[derive(Debug)]
+pub struct KeyTable<V> {
+    keys: Vec<u64>,
+    vals: Vec<V>,
+    dir: Vec<u32>,
+    shift: u32,
+}
+
+impl<V> Default for KeyTable<V> {
+    fn default() -> Self {
+        KeyTable {
+            keys: Vec::new(),
+            vals: Vec::new(),
+            dir: vec![0],
+            shift: 63,
+        }
+    }
+}
+
+impl<V: Copy> KeyTable<V> {
+    /// Build over `keys` (strictly increasing) and their `vals`, in one
+    /// pass. Out-of-order or duplicate keys are refused with a message
+    /// naming the first offender — a builder never produces them, so from
+    /// an image they mean corruption.
+    pub fn new(keys: Vec<u64>, vals: Vec<V>) -> Result<Self, String> {
+        debug_assert_eq!(keys.len(), vals.len());
+        let n = keys.len();
+        let Some(&max) = keys.last() else {
+            return Ok(KeyTable::default());
+        };
+        if n > u32::MAX as usize {
+            return Err(format!(
+                "{n} minimizer keys exceed the table's u32 directory"
+            ));
+        }
+        // About n/2 directory entries over the bits the keys actually use
+        // (hashes are masked to 2k bits, so the top of the u64 is empty).
+        let dir_bits = n.ilog2().saturating_sub(1).max(1);
+        let shift = (u64::BITS - max.leading_zeros()).saturating_sub(dir_bits);
+        let buckets = (max >> shift) as usize + 1;
+        let mut dir = Vec::with_capacity(buckets + 1);
+        let mut prev: Option<u64> = None;
+        for (i, &key) in keys.iter().enumerate() {
+            // `key > max` is out of order too (the last key must be the
+            // largest), and would grow the directory past its size.
+            if prev.is_some_and(|p| p >= key) || key > max {
+                return Err(format!(
+                    "minimizer key #{i} ({key:#x}) is out of order: keys must be \
+                     strictly increasing"
+                ));
+            }
+            prev = Some(key);
+            let b = (key >> shift) as usize;
+            while dir.len() <= b {
+                dir.push(i as u32);
+            }
+        }
+        dir.resize(buckets + 1, n as u32);
+        Ok(KeyTable {
+            keys,
+            vals,
+            dir,
+            shift,
+        })
+    }
+
+    /// The value stored for `key`, if any.
+    #[inline]
+    pub fn get(&self, key: u64) -> Option<V> {
+        let b = (key >> self.shift) as usize;
+        let (&lo, &hi) = (self.dir.get(b)?, self.dir.get(b + 1)?);
+        let (lo, hi) = (lo as usize, hi as usize);
+        let i = lo + self.keys[lo..hi].partition_point(|&k| k < key);
+        (i < hi && self.keys[i] == key).then(|| self.vals[i])
+    }
+
+    /// All keys, ascending.
+    pub fn keys(&self) -> &[u64] {
+        &self.keys
+    }
+
+    /// All values, in key order.
+    pub fn values(&self) -> &[V] {
+        &self.vals
+    }
+
+    /// Resident heap bytes: keys, values and directory.
+    pub fn heap_bytes(&self) -> usize {
+        self.keys.capacity() * 8
+            + self.vals.capacity() * std::mem::size_of::<V>()
+            + self.dir.capacity() * 4
+    }
+}
 
 /// Which posting-list representation an index is built with.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -114,7 +220,7 @@ impl BucketRef {
 /// hash plus a shared pool of bit-packed delta blocks.
 #[derive(Debug, Default)]
 pub struct PackedPostings {
-    pub(crate) map: HashMap<u64, BucketRef>,
+    pub(crate) table: KeyTable<BucketRef>,
     pub(crate) blocks: Vec<u64>,
     pub(crate) n_hits: u64,
 }
@@ -131,7 +237,8 @@ impl PackedPostings {
     /// the builder's post-sort stream. Hits within a bucket must be
     /// non-decreasing (strictly increasing in practice).
     pub fn from_sorted_pairs(pairs: &[(u64, u64)]) -> Result<Self, IndexError> {
-        let mut map = HashMap::new();
+        let mut keys = Vec::new();
+        let mut refs = Vec::new();
         let mut blocks: Vec<u64> = Vec::new();
         let mut start = 0usize;
         while start < pairs.len() {
@@ -182,11 +289,15 @@ impl PackedPostings {
                 BucketRef::new(off, count, width)
             };
             r.base = base;
-            map.insert(hash, r);
+            keys.push(hash);
+            refs.push(r);
             start = end;
         }
+        keys.shrink_to_fit();
+        refs.shrink_to_fit();
+        blocks.shrink_to_fit();
         Ok(PackedPostings {
-            map,
+            table: KeyTable::new(keys, refs).map_err(|what| IndexError::PostingBudget { what })?,
             blocks,
             n_hits: pairs.len() as u64,
         })
@@ -243,14 +354,13 @@ impl PackedPostings {
 }
 
 /// Either posting-list representation behind one query API. The mapper
-/// only sees [`Postings::count`] / [`Postings::decode_into`] /
-/// [`Postings::cursor`], so flipping `--index-format` changes storage,
-/// never behavior.
+/// only sees [`Postings::cursor`] / [`Postings::decode_into`], so flipping
+/// `--index-format` changes storage, never behavior.
 #[derive(Debug)]
 pub enum Postings {
     /// Legacy flat layout: `(offset, count)` into one `u64` hit array.
     Flat {
-        map: HashMap<u64, (u64, u32)>,
+        table: KeyTable<(u64, u32)>,
         positions: Vec<u64>,
     },
     /// FOR/delta bit-packed blocks.
@@ -272,12 +382,17 @@ impl Postings {
         }
     }
 
+    /// All minimizer hashes, ascending.
+    pub fn keys(&self) -> &[u64] {
+        match self {
+            Postings::Flat { table, .. } => table.keys(),
+            Postings::Packed(p) => p.table.keys(),
+        }
+    }
+
     /// Number of distinct minimizer hashes.
     pub fn num_keys(&self) -> usize {
-        match self {
-            Postings::Flat { map, .. } => map.len(),
-            Postings::Packed(p) => p.map.len(),
-        }
+        self.keys().len()
     }
 
     /// Total number of stored hits.
@@ -288,44 +403,39 @@ impl Postings {
         }
     }
 
-    /// Hits recorded for `hash` (0 when absent) — one map probe, no decode.
-    pub fn count(&self, hash: u64) -> usize {
-        match self {
-            Postings::Flat { map, .. } => map.get(&hash).map_or(0, |&(_, c)| c as usize),
-            Postings::Packed(p) => p.map.get(&hash).map_or(0, |r| r.count() as usize),
-        }
-    }
-
     /// Decode the bucket for `hash` into `out` (cleared and refilled;
     /// empty when the hash is absent). With a reused `out` this is the
     /// allocation-free bulk query path.
     pub fn decode_into(&self, hash: u64, out: &mut Vec<u64>) {
         match self {
-            Postings::Flat { map, positions } => {
+            Postings::Flat { table, positions } => {
                 out.clear();
-                if let Some(&(off, cnt)) = map.get(&hash) {
+                if let Some((off, cnt)) = table.get(hash) {
                     out.extend_from_slice(&positions[off as usize..off as usize + cnt as usize]);
                 }
             }
-            Postings::Packed(p) => match p.map.get(&hash) {
-                Some(&r) => p.decode_ref_into(r, out),
+            Postings::Packed(p) => match p.table.get(hash) {
+                Some(r) => p.decode_ref_into(r, out),
                 None => out.clear(),
             },
         }
     }
 
-    /// Stream the bucket for `hash` without materializing it.
+    /// Stream the bucket for `hash` without materializing it. One table
+    /// probe: the cursor's `len()` is the bucket's hit count (0 when the
+    /// hash is absent), so seeding reads the count and the hits together.
+    #[inline]
     pub fn cursor(&self, hash: u64) -> PostingCursor<'_> {
         match self {
-            Postings::Flat { map, positions } => {
-                let hits = match map.get(&hash) {
-                    Some(&(off, cnt)) => &positions[off as usize..off as usize + cnt as usize],
+            Postings::Flat { table, positions } => {
+                let hits = match table.get(hash) {
+                    Some((off, cnt)) => &positions[off as usize..off as usize + cnt as usize],
                     None => &[],
                 };
                 PostingCursor::Flat(hits.iter())
             }
-            Postings::Packed(p) => match p.map.get(&hash) {
-                Some(&r) => PostingCursor::Packed {
+            Postings::Packed(p) => match p.table.get(hash) {
+                Some(r) => PostingCursor::Packed {
                     blocks: &p.blocks[r.off() as usize..],
                     width: r.width(),
                     bit: 0,
@@ -338,20 +448,9 @@ impl Postings {
         }
     }
 
-    /// All minimizer hashes in sorted order (allocates; test/serialize
-    /// convenience, not a hot path).
-    pub fn sorted_hashes(&self) -> Vec<u64> {
-        let mut keys: Vec<u64> = match self {
-            Postings::Flat { map, .. } => map.keys().copied().collect(),
-            Postings::Packed(p) => p.map.keys().copied().collect(),
-        };
-        keys.sort_unstable();
-        keys
-    }
-
     /// Bytes of the hit-carrying section (the part the packed layout
-    /// shrinks); the map is excluded because both formats pay the same
-    /// 16-byte padded value per key.
+    /// shrinks); the key table is excluded because both formats pay the
+    /// same 16-byte value per key.
     pub fn posting_bytes(&self) -> usize {
         match self {
             Postings::Flat { positions, .. } => positions.len() * 8,
@@ -359,11 +458,12 @@ impl Postings {
         }
     }
 
-    /// Resident heap bytes (map + hit storage).
+    /// Resident heap bytes: the key table (keys, values, directory) plus
+    /// the hit storage.
     pub fn heap_bytes(&self) -> usize {
         match self {
-            Postings::Flat { map, positions } => map.len() * 24 + positions.len() * 8,
-            Postings::Packed(p) => p.map.len() * 24 + p.blocks.len() * 8,
+            Postings::Flat { table, positions } => table.heap_bytes() + positions.capacity() * 8,
+            Postings::Packed(p) => p.table.heap_bytes() + p.blocks.capacity() * 8,
         }
     }
 }
@@ -433,7 +533,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn flat_from_pairs(pairs: &[(u64, u64)]) -> Postings {
-        let mut map = HashMap::new();
+        let (mut keys, mut vals) = (Vec::new(), Vec::new());
         let mut positions = Vec::new();
         let mut start = 0usize;
         while start < pairs.len() {
@@ -442,11 +542,15 @@ mod tests {
             while end < pairs.len() && pairs[end].0 == hash {
                 end += 1;
             }
-            map.insert(hash, (positions.len() as u64, (end - start) as u32));
+            keys.push(hash);
+            vals.push((positions.len() as u64, (end - start) as u32));
             positions.extend(pairs[start..end].iter().map(|&(_, h)| h));
             start = end;
         }
-        Postings::Flat { map, positions }
+        Postings::Flat {
+            table: KeyTable::new(keys, vals).unwrap(),
+            positions,
+        }
     }
 
     fn assert_equivalent(pairs: &[(u64, u64)]) {
@@ -454,11 +558,15 @@ mod tests {
         let packed = Postings::Packed(PackedPostings::from_sorted_pairs(pairs).unwrap());
         assert_eq!(flat.num_keys(), packed.num_keys());
         assert_eq!(flat.num_hits(), packed.num_hits());
-        assert_eq!(flat.sorted_hashes(), packed.sorted_hashes());
+        assert_eq!(flat.keys(), packed.keys());
         let mut a = Vec::new();
         let mut b = Vec::new();
-        for &h in &flat.sorted_hashes() {
-            assert_eq!(flat.count(h), packed.count(h), "count for {h}");
+        for &h in flat.keys() {
+            assert_eq!(
+                flat.cursor(h).len(),
+                packed.cursor(h).len(),
+                "count for {h}"
+            );
             flat.decode_into(h, &mut a);
             packed.decode_into(h, &mut b);
             assert_eq!(a, b, "decode for {h}");
@@ -468,10 +576,11 @@ mod tests {
         }
         // Absent hashes behave identically too.
         let absent = 0xDEAD_BEEF_0BAD_F00Du64;
-        assert_eq!(packed.count(absent), 0);
-        packed.decode_into(absent, &mut b);
-        assert!(b.is_empty());
-        assert_eq!(packed.cursor(absent).count(), 0);
+        for p in [&flat, &packed] {
+            assert_eq!(p.cursor(absent).len(), 0);
+            p.decode_into(absent, &mut b);
+            assert!(b.is_empty());
+        }
     }
 
     #[test]
@@ -520,10 +629,66 @@ mod tests {
             }
             pairs.push((78, 5)); // trailing singleton
             let packed = PackedPostings::from_sorted_pairs(&pairs).unwrap();
-            let r = packed.map[&77];
+            let r = packed.table.get(77).unwrap();
             assert_eq!(r.width(), width, "width {width}");
             assert_equivalent(&pairs);
         }
+    }
+
+    #[test]
+    fn key_table_finds_every_key_and_no_other() {
+        let mut state = 17u64;
+        for n in [0usize, 1, 2, 3, 100, 5_000] {
+            // Hashes masked to 2k bits, as the sketch produces them.
+            let mut keys: Vec<u64> = (0..n)
+                .map(|_| {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    (state >> 7) & ((1 << 30) - 1)
+                })
+                .collect();
+            keys.sort_unstable();
+            keys.dedup();
+            let vals: Vec<u32> = (0..keys.len() as u32).collect();
+            let t = KeyTable::new(keys.clone(), vals).unwrap();
+            assert_eq!(t.keys(), &keys[..]);
+            for (i, &k) in keys.iter().enumerate() {
+                assert_eq!(t.get(k), Some(i as u32), "n={n} key {k:#x}");
+                for probe in [k.wrapping_sub(1), k + 1] {
+                    if keys.binary_search(&probe).is_err() {
+                        assert_eq!(t.get(probe), None, "n={n} absent {probe:#x}");
+                    }
+                }
+            }
+            for absent in [u64::MAX, 1 << 30, 1 << 63] {
+                assert_eq!(t.get(absent), None);
+            }
+        }
+    }
+
+    #[test]
+    fn key_table_refuses_unsorted_and_duplicate_keys() {
+        for keys in [vec![1u64, 5, 3, 9], vec![1, 5, 5, 9], vec![9, 1, 2, 3]] {
+            let e = KeyTable::new(keys.clone(), vec![0u8; keys.len()]).unwrap_err();
+            assert!(e.contains("strictly increasing"), "{keys:?}: {e}");
+        }
+    }
+
+    #[test]
+    fn packed_heap_bytes_are_keys_values_directory_and_blocks() {
+        let mut pairs = Vec::new();
+        for h in 0..3_000u64 {
+            for i in 0..(1 + h % 3) {
+                pairs.push((h.wrapping_mul(0x9E37_79B9) & ((1 << 30) - 1), h * 1_000 + i));
+            }
+        }
+        pairs.sort_unstable();
+        let packed = PackedPostings::from_sorted_pairs(&pairs).unwrap();
+        let dir = packed.table.dir.len();
+        let keys = packed.table.keys().len();
+        // A small directory: about one entry per two keys.
+        assert!(dir <= keys / 2 + 2, "{dir} entries for {keys} keys");
+        let expect_packed = keys * 8 + keys * 16 + dir * 4 + packed.blocks.len() * 8;
+        assert_eq!(Postings::Packed(packed).heap_bytes(), expect_packed);
     }
 
     #[test]
@@ -579,7 +744,7 @@ mod tests {
     fn walk_checked_matches_decode() {
         let pairs = [(3u64, 9u64), (3, 9 + 300), (3, 9 + 300 + 5)];
         let packed = PackedPostings::from_sorted_pairs(&pairs).unwrap();
-        let r = packed.map[&3];
+        let r = packed.table.get(3).unwrap();
         let mut walked = Vec::new();
         packed
             .walk_checked(r, |h| {
@@ -598,7 +763,7 @@ mod tests {
         let mut blocks = vec![0u64; 1];
         unpack::write_fields(&mut blocks, 0, 64, &[u64::MAX]);
         let p = PackedPostings {
-            map: HashMap::new(),
+            table: KeyTable::default(),
             blocks,
             n_hits: 2,
         };

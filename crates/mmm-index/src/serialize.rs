@@ -22,9 +22,14 @@
 //! * [`load_index`] replays minimap2's fragmented loader — one small
 //!   `read` per field through a [`mmm_io::ChunkedReader`];
 //! * [`load_index_mmap`] is manymap's path: `mmap(2)` the file once and
-//!   parse in place with zero-copy bulk array reads.
+//!   parse it with bulk array reads (one borrow per section, no
+//!   per-field calls).
+//!
+//! Both versions store the minimizer keys strictly increasing, followed by
+//! the per-key values in the same order, so the parser fills the
+//! [`KeyTable`] in one pass with no rehashing. Out-of-order or duplicate
+//! keys are corruption.
 
-use std::collections::HashMap;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::time::Instant;
@@ -34,7 +39,7 @@ use mmm_seq::PackedSeq;
 
 use crate::error::IndexError;
 use crate::index::{MinimizerIndex, RefSeq};
-use crate::postings::{BucketRef, PackedPostings, Postings};
+use crate::postings::{BucketRef, KeyTable, PackedPostings, Postings};
 
 /// Shared magic prefix; the fourth byte is the format version.
 const MAGIC_PREFIX: &[u8; 3] = b"MMX";
@@ -132,19 +137,17 @@ pub(crate) fn write_index_image<W: Write>(
         }
     }
     let seqs_end = w.pos;
-    // Minimizer table: keys sorted for determinism, then the per-key
-    // values, then the hit-carrying section.
+    // Minimizer table: keys ascending (the key table's own order), then
+    // the per-key values, then the hit-carrying section.
+    let keys = idx.postings.keys();
+    w.write_all(&(keys.len() as u64).to_le_bytes())?;
+    for &k in keys {
+        w.write_all(&k.to_le_bytes())?;
+    }
     let map_end;
     match &idx.postings {
-        Postings::Flat { map, positions } => {
-            let mut keys: Vec<u64> = map.keys().copied().collect();
-            keys.sort_unstable();
-            w.write_all(&(keys.len() as u64).to_le_bytes())?;
-            for &k in &keys {
-                w.write_all(&k.to_le_bytes())?;
-            }
-            for &k in &keys {
-                let (off, cnt) = map[&k];
+        Postings::Flat { table, positions } => {
+            for &(off, cnt) in table.values() {
                 w.write_all(&off.to_le_bytes())?;
                 w.write_all(&(cnt as u64).to_le_bytes())?;
             }
@@ -155,14 +158,7 @@ pub(crate) fn write_index_image<W: Write>(
             }
         }
         Postings::Packed(p) => {
-            let mut keys: Vec<u64> = p.map.keys().copied().collect();
-            keys.sort_unstable();
-            w.write_all(&(keys.len() as u64).to_le_bytes())?;
-            for &k in &keys {
-                w.write_all(&k.to_le_bytes())?;
-            }
-            for &k in &keys {
-                let r = p.map[&k];
+            for r in p.table.values() {
                 w.write_all(&r.base.to_le_bytes())?;
                 w.write_all(&r.ocw.to_le_bytes())?;
             }
@@ -216,6 +212,61 @@ fn bounded_count<S: ByteSource>(src: &mut S, min_bytes_each: u64, what: &str) ->
 
 fn corrupt(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// Read `n` records of `N` little-endian `u64` words each and build one
+/// value from each: a single borrow on the mmap path, `N`
+/// [`ByteSource::take_u64`] calls per record on a streaming source
+/// (minimap2's fragmented reads).
+fn take_records<S: ByteSource, T, const N: usize>(
+    src: &mut S,
+    n: usize,
+    make: impl Fn([u64; N]) -> T,
+) -> io::Result<Vec<T>> {
+    let bytes = n
+        .checked_mul(8 * N)
+        .ok_or_else(|| corrupt(format!("{n} records overflow the address space")))?;
+    if let Some(raw) = src.borrow_exact(bytes) {
+        return Ok(raw
+            .chunks_exact(8 * N)
+            .map(|rec| {
+                make(std::array::from_fn(|i| {
+                    let mut b = [0u8; 8];
+                    b.copy_from_slice(&rec[8 * i..8 * i + 8]);
+                    u64::from_le_bytes(b)
+                }))
+            })
+            .collect());
+    }
+    // A source that cannot bound its length grows with delivered bytes
+    // instead of trusting `n` up front.
+    let cap = if src.remaining_hint().is_some() {
+        n
+    } else {
+        n.min(1 << 13)
+    };
+    let mut v = Vec::with_capacity(cap);
+    for _ in 0..n {
+        let mut words = [0u64; N];
+        for w in &mut words {
+            *w = src.take_u64()?;
+        }
+        v.push(make(words));
+    }
+    Ok(v)
+}
+
+/// Read the minimizer key table shared by v1 and v2: `n_keys`, the keys
+/// (strictly increasing), then one `(u64, u64)` value per key.
+fn take_key_table<S: ByteSource, V: Copy>(
+    src: &mut S,
+    make: impl Fn(u64, u64) -> V,
+) -> io::Result<KeyTable<V>> {
+    // Each key contributes 8 bytes to the key array and 16 to its value.
+    let n_keys = bounded_count(src, 24, "minimizer key")?;
+    let keys = take_records(src, n_keys, |[k]| k)?;
+    let vals = take_records(src, n_keys, |[a, b]| make(a, b))?;
+    KeyTable::new(keys, vals).map_err(corrupt)
 }
 
 /// Header fields shared by both versions (everything after the magic, up
@@ -280,25 +331,11 @@ fn check_rid(hit: u64, n_seqs: usize, what: &str) -> Result<(), String> {
 /// v1 body: flat `(offset, count)` map + `u64`-per-hit positions array.
 fn parse_v1_body<S: ByteSource>(src: &mut S) -> io::Result<MinimizerIndex> {
     let h = parse_header(src)?;
-    // Each key contributes 8 bytes to the key array and 16 to (off, cnt).
-    let n_keys = bounded_count(src, 24, "minimizer key")?;
-    let keys = {
-        let mut v = Vec::with_capacity(n_keys);
-        for _ in 0..n_keys {
-            v.push(src.take_u64()?);
-        }
-        v
-    };
-    let mut map = HashMap::with_capacity(n_keys);
-    for &key in &keys {
-        let off = src.take_u64()?;
-        let cnt = src.take_u64()? as u32;
-        map.insert(key, (off, cnt));
-    }
+    let table = take_key_table(src, |off, cnt| (off, cnt as u32))?;
     let positions = src.take_u64_vec()?;
     // Every (off, cnt) range must lie inside the positions array, or the
     // first lookup of that key would panic.
-    for (&key, &(off, cnt)) in &map {
+    for (&key, &(off, cnt)) in table.keys().iter().zip(table.values()) {
         let end = off.checked_add(cnt as u64);
         if end.is_none() || end.unwrap_or(u64::MAX) > positions.len() as u64 {
             return Err(corrupt(format!(
@@ -315,7 +352,7 @@ fn parse_v1_body<S: ByteSource>(src: &mut S) -> io::Result<MinimizerIndex> {
         w: h.w,
         hpc: h.hpc,
         seqs: h.seqs,
-        postings: Postings::Flat { map, positions },
+        postings: Postings::Flat { table, positions },
         max_occ: h.max_occ,
     })
 }
@@ -323,21 +360,7 @@ fn parse_v1_body<S: ByteSource>(src: &mut S) -> io::Result<MinimizerIndex> {
 /// v2 body: `(base, ocw)` bucket refs + zero-padded packed block pool.
 fn parse_v2_body<S: ByteSource>(src: &mut S) -> io::Result<MinimizerIndex> {
     let h = parse_header(src)?;
-    // Each key contributes 8 bytes to the key array and 16 to (base, ocw).
-    let n_keys = bounded_count(src, 24, "minimizer key")?;
-    let keys = {
-        let mut v = Vec::with_capacity(n_keys);
-        for _ in 0..n_keys {
-            v.push(src.take_u64()?);
-        }
-        v
-    };
-    let mut map = HashMap::with_capacity(n_keys);
-    for &key in &keys {
-        let base = src.take_u64()?;
-        let ocw = src.take_u64()?;
-        map.insert(key, BucketRef { base, ocw });
-    }
+    let table = take_key_table(src, |base, ocw| BucketRef { base, ocw })?;
     let n_hits = src.take_u64()?;
     // Consume the alignment pad: the writer zero-fills to the next 8-byte
     // file boundary so the block pool's words are 8-byte aligned. Nonzero
@@ -358,7 +381,7 @@ fn parse_v2_body<S: ByteSource>(src: &mut S) -> io::Result<MinimizerIndex> {
     }
     let blocks = src.take_u64_vec()?;
     let postings = PackedPostings {
-        map,
+        table,
         blocks,
         n_hits,
     };
@@ -366,7 +389,7 @@ fn parse_v2_body<S: ByteSource>(src: &mut S) -> io::Result<MinimizerIndex> {
     // bounds, overflow-free delta sums, and in-budget reference ids. After
     // this walk the infallible decode path cannot be surprised.
     let mut total: u64 = 0;
-    for (&key, &r) in &postings.map {
+    for (&key, &r) in postings.table.keys().iter().zip(postings.table.values()) {
         let count = r.count();
         if count == 0 || (count > 1 && r.width() == 0) || r.width() > 64 {
             return Err(corrupt(format!(
@@ -488,7 +511,10 @@ pub fn load_index(path: &Path) -> Result<(MinimizerIndex, LoadStats), IndexError
     ))
 }
 
-/// manymap's loading path: one `mmap`, zero-copy parse (§4.4.2).
+/// manymap's loading path (§4.4.2): one `mmap`, then a parse that reads
+/// each section with one bulk borrow instead of per-field calls. The
+/// parse still copies every section into owned arrays (and validates it);
+/// what the mapping saves is the syscalls and the per-field reads.
 pub fn load_index_mmap(path: &Path) -> Result<(MinimizerIndex, LoadStats), IndexError> {
     let start = Instant::now();
     let map = Mmap::open(path).map_err(|e| IndexError::Open {

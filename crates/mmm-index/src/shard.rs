@@ -40,7 +40,7 @@ use mmm_seq::SeqRecord;
 use crate::error::IndexError;
 use crate::index::{anchor_from_hit, check_hit_budget, occurrence_cutoff, sketch};
 use crate::index::{IdxOpts, MinimizerIndex};
-use crate::postings::IndexFormat;
+use crate::postings::{IndexFormat, PostingCursor};
 use crate::serialize::{parse_index, write_index_image, SectionBounds};
 use crate::xxh::xxh64;
 
@@ -271,7 +271,8 @@ impl Bloom {
             .max(64);
         let mut words = vec![0u64; bits / 64];
         for &h in hashes {
-            for bit in Self::probes(h, bits as u64) {
+            for p in Self::probes(h) {
+                let bit = p & (bits as u64 - 1);
                 words[(bit / 64) as usize] |= 1u64 << (bit % 64);
             }
         }
@@ -282,23 +283,31 @@ impl Bloom {
         Bloom { words }
     }
 
+    /// The two unmasked probe hashes of `h`. Every filter is a power of
+    /// two in size, so one pair serves all shards: each masks it to its
+    /// own bit count in [`Bloom::contains_probes`].
     #[inline]
-    fn probes(h: u64, bits: u64) -> [u64; 2] {
-        [
-            splitmix64(h) & (bits - 1),
-            splitmix64(h ^ 0xC2B2_AE3D_27D4_EB4F) & (bits - 1),
-        ]
+    pub(crate) fn probes(h: u64) -> [u64; 2] {
+        [splitmix64(h), splitmix64(h ^ 0xC2B2_AE3D_27D4_EB4F)]
     }
 
+    #[cfg(test)]
+    fn contains(&self, h: u64) -> bool {
+        self.contains_probes(Self::probes(h))
+    }
+
+    /// Membership test on probes already computed by [`Bloom::probes`]:
+    /// false means the shard holds no such minimizer.
     #[inline]
-    pub(crate) fn contains(&self, h: u64) -> bool {
+    pub(crate) fn contains_probes(&self, probes: [u64; 2]) -> bool {
         if self.words.is_empty() {
             return false;
         }
-        let bits = (self.words.len() * 64) as u64;
-        Self::probes(h, bits)
-            .iter()
-            .all(|&bit| self.words[(bit / 64) as usize] & (1u64 << (bit % 64)) != 0)
+        let mask = (self.words.len() * 64) as u64 - 1;
+        probes.iter().all(|&p| {
+            let bit = p & mask;
+            self.words[(bit / 64) as usize] & (1u64 << (bit % 64)) != 0
+        })
     }
 
     pub(crate) fn words(&self) -> &[u64] {
@@ -614,8 +623,8 @@ pub fn build_sharded(
     // occurrence_cutoff, so the cutoff — and therefore seeding — matches.
     let mut pairs: Vec<(u64, u32)> = Vec::new();
     for idx in &shards {
-        for h in idx.sorted_hashes() {
-            pairs.push((h, idx.hit_count(h) as u32));
+        for &h in idx.sorted_hashes() {
+            pairs.push((h, idx.hit_cursor(h).len() as u32));
         }
     }
     pairs.sort_unstable();
@@ -670,7 +679,7 @@ pub fn build_sharded(
             rid_count: count as u32,
             file_len,
             dir_hash,
-            bloom: Bloom::build(&idx.sorted_hashes()),
+            bloom: Bloom::build(idx.sorted_hashes()),
         });
         shard_files.push(path);
         shard_bytes.push(file_len);
@@ -1161,17 +1170,15 @@ impl ShardedIndex {
     pub fn collect_anchors(&self, query: &[u8]) -> Result<Vec<Anchor>, ShardUnavailable> {
         let qlen = query.len() as u32;
         let ns = self.num_shards();
+        let shards = &self.manifest.shards;
         let ms = sketch(query, self.manifest.k, self.manifest.w, self.manifest.hpc);
+        let probes: Vec<[u64; 2]> = ms.iter().map(|m| Bloom::probes(m.hash)).collect();
         let mut touched = vec![false; ns];
-        let cands: Vec<Vec<u32>> = ms
-            .iter()
-            .map(|m| {
-                (0..ns as u32)
-                    .filter(|&s| self.manifest.shards[s as usize].bloom.contains(m.hash))
-                    .inspect(|&s| touched[s as usize] = true)
-                    .collect()
-            })
-            .collect();
+        for &p in &probes {
+            for (s, meta) in shards.iter().enumerate() {
+                touched[s] |= meta.bloom.contains_probes(p);
+            }
+        }
         let mut loaded: Vec<Option<Arc<MinimizerIndex>>> = vec![None; ns];
         let mut skipped: Option<ShardUnavailable> = None;
         for (s, t) in touched.iter().enumerate() {
@@ -1183,21 +1190,25 @@ impl ShardedIndex {
             }
         }
         let mut anchors = Vec::new();
-        for (m, cand) in ms.iter().zip(&cands) {
-            let total: u64 = cand
-                .iter()
-                .filter_map(|&s| loaded[s as usize].as_ref())
-                .map(|idx| idx.hit_count(m.hash) as u64)
-                .sum();
+        // One table probe per (minimizer, bloom-positive loaded shard); the
+        // cursors wait here until the summed count has passed the filter.
+        let mut hits: Vec<(u32, PostingCursor<'_>)> = Vec::new();
+        for (m, &p) in ms.iter().zip(&probes) {
+            hits.clear();
+            let mut total = 0u64;
+            for (s, idx) in loaded.iter().enumerate() {
+                let Some(idx) = idx else { continue };
+                if shards[s].bloom.contains_probes(p) {
+                    let cursor = idx.hit_cursor(m.hash);
+                    total += cursor.len() as u64;
+                    hits.push((shards[s].rid_start, cursor));
+                }
+            }
             if total == 0 || total > self.manifest.max_occ as u64 {
                 continue;
             }
-            for &s in cand {
-                let Some(idx) = loaded[s as usize].as_ref() else {
-                    continue;
-                };
-                let rid_start = self.manifest.shards[s as usize].rid_start;
-                for h in idx.hit_cursor(m.hash) {
+            for (rid_start, cursor) in hits.drain(..) {
+                for h in cursor {
                     anchors.push(anchor_from_hit(
                         m,
                         h,

@@ -131,12 +131,8 @@ fn out_of_range_v2_bucket_base_is_corruption() {
     let (idx, bytes) = sample(IndexFormat::Packed);
     // Replay the v2 layout to the first (base, ocw) pair: magic(4) +
     // opts(16) + n_seqs(8) + per-seq records + n_keys(8) + keys.
-    let mut at = 28usize;
-    for s in &idx.seqs {
-        at += 24 + s.name.len() + s.seq.words().len() * 4;
-    }
     let hashes = idx.sorted_hashes();
-    at += 8 + hashes.len() * 8;
+    let at = first_key_offset(&idx) + hashes.len() * 8;
     // Sanity: the bytes there are the first sorted bucket's FOR base.
     let mut hits = Vec::new();
     idx.decode_hits_into(hashes[0], &mut hits);
@@ -150,6 +146,57 @@ fn out_of_range_v2_bucket_base_is_corruption() {
     );
     assert!(e.is_corrupt(), "{e}");
     assert!(e.to_string().contains("names reference"), "{e}");
+}
+
+/// Byte offset of the first minimizer key in a v1/v2 image: magic(4) +
+/// opts(16) + n_seqs(8) + the sequence records + n_keys(8).
+fn first_key_offset(idx: &MinimizerIndex) -> usize {
+    28 + idx
+        .seqs
+        .iter()
+        .map(|s| 24 + s.name.len() + s.seq.words().len() * 4)
+        .sum::<usize>()
+        + 8
+}
+
+/// Keys that are out of order or repeated are corruption in both
+/// versions, reported by the key table itself: a v1 image has no other
+/// check that would see a duplicate, and a v2 image would otherwise only
+/// fail the hit-count sum, without naming the key.
+#[test]
+fn unsorted_or_duplicate_keys_are_corruption() {
+    for format in [IndexFormat::Legacy, IndexFormat::Packed] {
+        let (idx, bytes) = sample(format);
+        let at = first_key_offset(&idx);
+        let keys = idx.sorted_hashes();
+        assert_eq!(bytes[at..at + 8], keys[0].to_le_bytes(), "layout replay");
+        let key_at = |i: usize| at + 8 * i;
+        // Swap keys 1 and 2; repeat key 1 in slot 2; move the last key first.
+        let n = keys.len();
+        let forgeries: [(&str, Vec<(usize, u64)>); 3] = [
+            ("swapped", vec![(1, keys[2]), (2, keys[1])]),
+            ("duplicate", vec![(2, keys[1])]),
+            ("largest first", vec![(0, keys[n - 1]), (n - 1, keys[0])]),
+        ];
+        for (what, edits) in forgeries {
+            let mut forged = bytes.clone();
+            for (i, key) in edits {
+                forged[key_at(i)..key_at(i) + 8].copy_from_slice(&key.to_le_bytes());
+            }
+            let e = must_fail(
+                parse_index(&mut SliceSource::new(&forged)),
+                &format!("{format:?} {what} keys"),
+            );
+            assert!(
+                matches!(e, IndexError::Corrupt { .. }),
+                "{format:?} {what}: {e}"
+            );
+            assert!(
+                e.to_string().contains("strictly increasing"),
+                "{format:?} {what}: {e}"
+            );
+        }
+    }
 }
 
 #[test]

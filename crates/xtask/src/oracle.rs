@@ -337,7 +337,7 @@ fn packed_crosscheck(seed: u64) -> Result<String, String> {
         );
     }
     let (mut a, mut b) = (Vec::new(), Vec::new());
-    for &h in &hashes {
+    for &h in hashes {
         packed.decode_hits_into(h, &mut a);
         legacy.decode_hits_into(h, &mut b);
         if a != b {
@@ -354,9 +354,9 @@ fn packed_crosscheck(seed: u64) -> Result<String, String> {
                 "packed_crosscheck: cursor decode differs from bulk decode for hash {h:#x}"
             ));
         }
-        if packed.hit_count(h) != a.len() {
+        if packed.hit_cursor(h).len() != a.len() || legacy.hit_cursor(h).len() != b.len() {
             return Err(format!(
-                "packed_crosscheck: hit_count disagrees with decode for hash {h:#x}"
+                "packed_crosscheck: cursor length disagrees with decode for hash {h:#x}"
             ));
         }
     }
